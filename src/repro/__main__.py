@@ -265,10 +265,10 @@ def cmd_spec(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_spec_from_args(args: argparse.Namespace):
-    from repro.api.spec import ServeSpec
+def _serving_sections(args: argparse.Namespace):
+    """The system, dataset and load sections every serving command's spec
+    shares, from their common flags."""
     from repro.serve.loadgen import LoadSpec
-    from repro.serve.server import ServePolicy, ServiceModel
 
     system = SystemConfig(
         args.kind,
@@ -278,15 +278,7 @@ def _serve_spec_from_args(args: argparse.Namespace):
         seed=args.seed,
         detailed_ops=False,  # throughput path: skip Table-3 extras
     )
-    service = None
-    if args.overhead_ms is not None or args.gops is not None:
-        # Explicit uncalibrated rates; ServeSpec rejects combining them
-        # with --device (the profile is what calibrates the model).
-        service = ServiceModel(
-            invocation_overhead_ms=args.overhead_ms,
-            gops_per_second=args.gops,
-        )
-    return ServeSpec(
+    return dict(
         system=system,
         dataset=DatasetSpec(
             args.dataset,
@@ -301,13 +293,36 @@ def _serve_spec_from_args(args: argparse.Namespace):
             seed=args.load_seed,
             rates=args.rate_per_stream,
         ),
-        policy=ServePolicy(
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            queue_capacity=args.queue_capacity,
-            shed_policy=args.shed,
-            slo_ms=args.slo_ms,
-        ),
+    )
+
+
+def _policy_from_args(args: argparse.Namespace):
+    from repro.serve.policy import ServePolicy
+
+    return ServePolicy(
+        max_batch_size=args.batch_size,
+        max_wait_ms=args.max_wait_ms,
+        queue_capacity=args.queue_capacity,
+        shed_policy=args.shed,
+        slo_ms=args.slo_ms,
+    )
+
+
+def _serve_spec_from_args(args: argparse.Namespace):
+    from repro.api.spec import ServeSpec
+    from repro.serve.policy import ServiceModel
+
+    service = None
+    if args.overhead_ms is not None or args.gops is not None:
+        # Explicit uncalibrated rates; ServeSpec rejects combining them
+        # with --device (the profile is what calibrates the model).
+        service = ServiceModel(
+            invocation_overhead_ms=args.overhead_ms,
+            gops_per_second=args.gops,
+        )
+    return ServeSpec(
+        **_serving_sections(args),
+        policy=_policy_from_args(args),
         service=service,
         device=args.device,
     )
@@ -331,12 +346,14 @@ def _grid_type(convert):
     return parse
 
 
-def _serve_slo_gate(report, slo_p99_ms, slo_wait_p95_ms) -> int:
-    """The non-tune ``--slo-p99-ms`` acceptance gate (0 = pass, 1 = fail).
+def _slo_gate(report, slo_p99_ms, slo_wait_p95_ms=None) -> int:
+    """The serve/fleet ``--slo-p99-ms`` acceptance gate (0 = pass, 1 = fail).
 
     Fails on a p99 miss, on *any* shed frame (shed frames have no
-    latency — dropping load is not a pass), and — when bounded — on a
-    queue-wait p95 miss.  Prints one verdict line per check so CI logs
+    latency — dropping load is not a pass), on any dead stream of a
+    fleet (a stream that never got a frame served is an availability
+    failure no latency percentile can reveal), and — when bounded — on
+    a queue-wait p95 miss.  Prints one verdict line per check so CI logs
     say exactly which bound broke.
     """
     fleet = report.slo["fleet"]
@@ -346,6 +363,11 @@ def _serve_slo_gate(report, slo_p99_ms, slo_wait_p95_ms) -> int:
         failures.append(f"p99 {p99:.1f} ms > target {slo_p99_ms:g} ms")
     if report.frames_shed > 0:
         failures.append(f"{report.frames_shed} frame(s) shed under the offered load")
+    dead_streams = getattr(report, "dead_streams", None)
+    if dead_streams:
+        failures.append(
+            f"{len(dead_streams)} dead stream(s): " + ", ".join(dead_streams)
+        )
     if slo_wait_p95_ms is not None:
         wait_p95 = float(fleet.get("wait_p95_ms", 0.0))
         if wait_p95 > slo_wait_p95_ms:
@@ -356,7 +378,8 @@ def _serve_slo_gate(report, slo_p99_ms, slo_wait_p95_ms) -> int:
         for failure in failures:
             print(f"SLO FAIL: {failure}", file=sys.stderr)
         return 1
-    print(f"SLO PASS: p99 {p99:.1f} ms <= {slo_p99_ms:g} ms, nothing shed")
+    passed = "nothing shed" if dead_streams is None else "nothing shed, no dead streams"
+    print(f"SLO PASS: p99 {p99:.1f} ms <= {slo_p99_ms:g} ms, {passed}")
     return 0
 
 
@@ -382,6 +405,18 @@ def _write_tune_json(path: str, result) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
+
+
+def _print_tune_result(session: Session, result) -> int:
+    """Print a serve or fleet sweep and its best report; exit 1 if none
+    of the swept points is feasible."""
+    print(result.format())
+    if result.best is not None:
+        print()
+        print(f"fingerprint: {result.best.spec.fingerprint[:16]}")
+        print(result.best.report.format())
+    _print_cache_stats(session)
+    return 0 if result.best is not None else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -415,13 +450,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.tune_out:
             _write_tune_json(args.tune_out, result)
         print(f"tuning: {spec.label} on device {spec.device or 'custom'}")
-        print(result.format())
-        if result.best is not None:
-            print()
-            print(f"fingerprint: {result.best.spec.fingerprint[:16]}")
-            print(result.best.report.format())
-        _print_cache_stats(session)
-        return 0 if result.best is not None else 1
+        return _print_tune_result(session, result)
     try:
         sink = make_sink(args.sink) if args.sink else None
     except ValueError as exc:
@@ -437,7 +466,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(report.format())
     _print_cache_stats(session)
     if args.slo_p99_ms is not None:
-        return _serve_slo_gate(report, args.slo_p99_ms, args.slo_wait_p95_ms)
+        return _slo_gate(report, args.slo_p99_ms, args.slo_wait_p95_ms)
     return 0
 
 
@@ -545,17 +574,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _fleet_spec_from_args(args: argparse.Namespace):
     from repro.fleet import AutoscalerPolicy, FleetSpec
-    from repro.serve.loadgen import LoadSpec
-    from repro.serve.server import ServePolicy
 
-    system = SystemConfig(
-        args.kind,
-        args.refinement,
-        args.proposal,
-        c_thresh=args.c_thresh,
-        seed=args.seed,
-        detailed_ops=False,  # throughput path: skip Table-3 extras
-    )
     autoscaler = None
     if getattr(args, "autoscale", False):
         # The controller defends --slo-p99-ms when given (the same number
@@ -571,62 +590,13 @@ def _fleet_spec_from_args(args: argparse.Namespace):
             scale_in_occupancy=args.scale_in_occupancy,
         )
     return FleetSpec(
-        system=system,
-        dataset=DatasetSpec(
-            args.dataset,
-            num_sequences=args.sequences,
-            frames_per_sequence=args.seq_frames,
-        ),
-        load=LoadSpec(
-            pattern=args.pattern,
-            num_streams=args.streams,
-            rate_hz=args.rate,
-            frames_per_stream=args.frames,
-            seed=args.load_seed,
-            rates=args.rate_per_stream,
-        ),
-        policy=ServePolicy(
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            queue_capacity=args.queue_capacity,
-            shed_policy=args.shed,
-            slo_ms=args.slo_ms,
-        ),
+        **_serving_sections(args),
+        policy=_policy_from_args(args),
         replicas=args.replicas,
         devices=args.devices,
         placement=args.placement,
         autoscaler=autoscaler,
     )
-
-
-def _fleet_slo_gate(report, slo_p99_ms) -> int:
-    """The fleet ``--slo-p99-ms`` acceptance gate (0 = pass, 1 = fail).
-
-    Fails on a fleet p99 miss, on *any* shed frame, and on any dead
-    stream (a stream that never got a frame served is an availability
-    failure no latency percentile can reveal).
-    """
-    fleet = report.slo["fleet"]
-    failures = []
-    p99 = float(fleet["p99_ms"])
-    if p99 > slo_p99_ms:
-        failures.append(f"p99 {p99:.1f} ms > target {slo_p99_ms:g} ms")
-    if report.frames_shed > 0:
-        failures.append(f"{report.frames_shed} frame(s) shed under the offered load")
-    if report.dead_streams:
-        failures.append(
-            f"{len(report.dead_streams)} dead stream(s): "
-            + ", ".join(report.dead_streams)
-        )
-    if failures:
-        for failure in failures:
-            print(f"SLO FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"SLO PASS: p99 {p99:.1f} ms <= {slo_p99_ms:g} ms, "
-        "nothing shed, no dead streams"
-    )
-    return 0
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
@@ -687,7 +657,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
         print(f"wrote fleet report to {args.report_out}", file=sys.stderr)
     _print_cache_stats(session)
     if args.slo_p99_ms is not None:
-        return _fleet_slo_gate(report, args.slo_p99_ms)
+        return _slo_gate(report, args.slo_p99_ms)
     return 0
 
 
@@ -716,13 +686,7 @@ def cmd_fleet_tune(args: argparse.Namespace) -> int:
         return 2
     print(f"tuning fleet: {spec.system.label} @ {spec.dataset.family} "
           f"x{spec.load.num_streams} {spec.load.pattern}")
-    print(result.format())
-    if result.best is not None:
-        print()
-        print(f"fingerprint: {result.best.spec.fingerprint[:16]}")
-        print(result.best.report.format())
-    _print_cache_stats(session)
-    return 0 if result.best is not None else 1
+    return _print_tune_result(session, result)
 
 
 def cmd_fleet_report(args: argparse.Namespace) -> int:
@@ -745,7 +709,7 @@ def cmd_fleet_report(args: argparse.Namespace) -> int:
             print(f"fingerprint: {spec.fingerprint[:16]}")
     print(report.format())
     if args.slo_p99_ms is not None:
-        return _fleet_slo_gate(report, args.slo_p99_ms)
+        return _slo_gate(report, args.slo_p99_ms)
     return 0
 
 
@@ -787,40 +751,15 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(f"error: bad query spec: {exc}", file=sys.stderr)
         return 2
 
-    system = SystemConfig(
-        args.kind,
-        args.refinement,
-        args.proposal,
-        c_thresh=args.c_thresh,
-        seed=args.seed,
-        detailed_ops=False,
-    )
-    dataset_spec = DatasetSpec(
-        args.dataset,
-        num_sequences=args.sequences,
-        frames_per_sequence=args.seq_frames,
-    )
+    sections = _serving_sections(args)
     session = _session(args)
 
     if args.serve:
         # Online: per-stream evaluators inside the micro-batched server.
         from repro.api.spec import ServeSpec
         from repro.obs import make_sink
-        from repro.serve.loadgen import LoadSpec
 
-        spec = ServeSpec(
-            system=system,
-            dataset=dataset_spec,
-            load=LoadSpec(
-                pattern=args.pattern,
-                num_streams=args.streams,
-                rate_hz=args.rate,
-                frames_per_stream=args.frames,
-                seed=args.load_seed,
-                rates=args.rate_per_stream,
-            ),
-            query=query,
-        )
+        spec = ServeSpec(**sections, query=query)
         try:
             sink = make_sink(args.sink) if args.sink else None
         except ValueError as exc:
@@ -845,12 +784,14 @@ def cmd_query(args: argparse.Namespace) -> int:
 
         from repro.core.pipeline import build_system
 
-        dataset = session.dataset(dataset_spec)
+        dataset = session.dataset(sections["dataset"])
         by_stream = {}
         for i in range(args.streams):
             seq = dataset.sequences[i % len(dataset.sequences)]
             frames = list(
-                itertools.islice(build_system(system).stream(seq), args.frames)
+                itertools.islice(
+                    build_system(sections["system"]).stream(seq), args.frames
+                )
             )
             name = f"s{i}:{seq.name}"
             by_stream[name] = evaluate_frames(query, frames, stream=name)

@@ -257,73 +257,69 @@ class Session:
         the live server; they never affect the spec's fingerprint, and a
         cache hit — having simulated nothing — emits nothing.
         """
-        from repro.serve.loadgen import generate_load
         from repro.serve.server import DetectionServer, ServeReportStore
 
-        # Same root as the experiment cache: `repro cache stats/ls/prune`
-        # then manage serving reports too (content addresses don't collide).
-        store = (
-            ServeReportStore(self.cache.root) if self.cache is not None else None
+        return self._serve_cached(
+            spec,
+            ServeReportStore,
+            lambda trace, record_trace: DetectionServer(
+                spec.system,
+                policy=spec.policy,
+                service=spec.service,
+                metrics=metrics,
+                sinks=sinks,
+                query=spec.query,
+                trace=trace,
+                record_trace=record_trace,
+            ),
+            use_cache=use_cache,
         )
-        if store is not None and use_cache:
+
+    def _serve_cached(self, spec: "Any", store_type, make_server, *, use_cache: bool):
+        """The cached-serve path of :meth:`serve` and :meth:`serve_fleet`.
+
+        Reports live in the experiment cache's root, so ``repro cache
+        stats/ls/prune`` manage them too (content addresses don't
+        collide).  A miss simulates through ``make_server(trace,
+        record_trace)`` with the stored
+        :class:`~repro.serve.trace.ComputeTrace` of ``spec``'s (system,
+        dataset, load), if any, to replay; the run's own trace is stored
+        only when strictly longer than what the store held — a shedding
+        policy's truncated trace must never clobber the full no-shed
+        recording that every other grid point replays from.  With caching
+        off the server runs the plain live path with no recording.
+        """
+        from repro.serve.loadgen import generate_load
+        from repro.serve.trace import TraceStore, trace_fingerprint
+
+        cached_run = self.cache is not None and use_cache
+        store = store_type(self.cache.root) if cached_run else None
+        if store is not None:
             cached = store.load(spec.fingerprint)
             if cached is not None:
                 self.cache.hits += 1
                 return cached
             self.cache.misses += 1
-        dataset = self.dataset(spec.dataset)
-        requests = generate_load(spec.load, dataset)
-        trace_store, trace_key, trace = self._load_trace(spec, use_cache)
-        server = DetectionServer(
-            spec.system,
-            policy=spec.policy,
-            service=spec.service,
-            metrics=metrics,
-            sinks=sinks,
-            query=spec.query,
-            trace=trace,
-            record_trace=trace_store is not None,
-        )
+        requests = generate_load(spec.load, self.dataset(spec.dataset))
+        trace = None
+        if cached_run:
+            trace_store = TraceStore(self.cache.root)
+            trace_key = trace_fingerprint(spec)
+            trace = trace_store.load(trace_key)
+            if trace is not None:
+                self.trace_hits += 1
+            else:
+                self.trace_misses += 1
+        server = make_server(trace, cached_run)
         report = server.run(requests)
-        self._finish_trace(trace_store, trace_key, trace, server)
-        if store is not None and use_cache:
+        if cached_run:
+            self.frames_replayed += server.frames_replayed
+            recorded = server.recorded_trace
+            stored_frames = trace.total_frames if trace is not None else 0
+            if recorded is not None and recorded.total_frames > stored_frames:
+                trace_store.store(trace_key, recorded)
             store.store(spec.fingerprint, report, spec=spec.to_dict())
         return report
-
-    def _load_trace(self, spec: "Any", use_cache: bool):
-        """The stored :class:`~repro.serve.trace.ComputeTrace` for
-        ``spec``'s (system, dataset, load), plus its store and key.
-
-        Returns ``(None, None, None)`` when caching is off — the server
-        then runs the plain live path with no recording.
-        """
-        if self.cache is None or not use_cache:
-            return None, None, None
-        from repro.serve.trace import TraceStore, trace_fingerprint
-
-        trace_store = TraceStore(self.cache.root)
-        trace_key = trace_fingerprint(spec)
-        trace = trace_store.load(trace_key)
-        if trace is not None:
-            self.trace_hits += 1
-        else:
-            self.trace_misses += 1
-        return trace_store, trace_key, trace
-
-    def _finish_trace(self, trace_store, trace_key, trace, server) -> None:
-        """Account a finished run's replays and persist its out-trace.
-
-        Stored only when strictly longer than what the store held — a
-        shedding policy's truncated trace must never clobber the full
-        no-shed recording that every other grid point replays from.
-        """
-        if trace_store is None:
-            return
-        self.frames_replayed += server.frames_replayed
-        recorded = server.recorded_trace
-        stored_frames = trace.total_frames if trace is not None else 0
-        if recorded is not None and recorded.total_frames > stored_frames:
-            trace_store.store(trace_key, recorded)
 
     def serve_fleet(
         self,
@@ -348,32 +344,19 @@ class Session:
         fingerprint, and a cache hit emits nothing.
         """
         from repro.fleet.server import FleetReportStore, FleetServer
-        from repro.serve.loadgen import generate_load
 
-        store = (
-            FleetReportStore(self.cache.root) if self.cache is not None else None
-        )
-        if store is not None and use_cache:
-            cached = store.load(spec.fingerprint)
-            if cached is not None:
-                self.cache.hits += 1
-                return cached
-            self.cache.misses += 1
-        dataset = self.dataset(spec.dataset)
-        requests = generate_load(spec.load, dataset)
-        trace_store, trace_key, trace = self._load_trace(spec, use_cache)
-        server = FleetServer(
+        return self._serve_cached(
             spec,
-            metrics=metrics,
-            sinks=sinks,
-            trace=trace,
-            record_trace=trace_store is not None,
+            FleetReportStore,
+            lambda trace, record_trace: FleetServer(
+                spec,
+                metrics=metrics,
+                sinks=sinks,
+                trace=trace,
+                record_trace=record_trace,
+            ),
+            use_cache=use_cache,
         )
-        report = server.run(requests)
-        self._finish_trace(trace_store, trace_key, trace, server)
-        if store is not None and use_cache:
-            store.store(spec.fingerprint, report, spec=spec.to_dict())
-        return report
 
     def tune_fleet(
         self,

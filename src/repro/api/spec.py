@@ -274,8 +274,74 @@ def _known_fields(cls, data: Dict[str, Any]) -> Dict[str, Any]:
 SERVE_SPEC_FORMAT = "repro-serve-spec/1"
 
 
+class ServingSpec:
+    """What :class:`ServeSpec` and :class:`~repro.fleet.spec.FleetSpec`
+    share: the system, dataset, load, policy and query sections, their
+    validation, JSON round trip and a fingerprint over the whole spec."""
+
+    def _check_sections(self) -> None:
+        """Validate the shared sections, defaulting ``load``/``policy``."""
+        from repro.query.spec import QuerySpec
+        from repro.serve.loadgen import LoadSpec
+        from repro.serve.policy import ServePolicy
+
+        if not isinstance(self.system, SystemConfig):
+            raise TypeError(
+                f"system must be a SystemConfig, got {type(self.system).__name__}"
+            )
+        if self.load is None:
+            object.__setattr__(self, "load", LoadSpec())
+        elif not isinstance(self.load, LoadSpec):
+            raise TypeError(f"load must be a LoadSpec, got {type(self.load).__name__}")
+        if self.policy is None:
+            object.__setattr__(self, "policy", ServePolicy())
+        elif not isinstance(self.policy, ServePolicy):
+            raise TypeError(
+                f"policy must be a ServePolicy, got {type(self.policy).__name__}"
+            )
+        if self.query is not None and not isinstance(self.query, QuerySpec):
+            raise TypeError(
+                f"query must be a QuerySpec, got {type(self.query).__name__}"
+            )
+
+    @staticmethod
+    def _sections_from_dict(data: Dict[str, Any], kind: str) -> Dict[str, Any]:
+        """The shared sections of a ``kind`` spec's dict, as constructor
+        keywords."""
+        from repro.query.spec import QuerySpec
+        from repro.serve.loadgen import LoadSpec
+        from repro.serve.policy import ServePolicy
+
+        if "system" not in data:
+            raise ValueError(f"{kind} spec is missing the required 'system' section")
+        return dict(
+            system=config_from_dict(data["system"]),
+            dataset=DatasetSpec.from_dict(data.get("dataset", {})),
+            load=LoadSpec.from_dict(data.get("load", {})),
+            policy=ServePolicy.from_dict(data.get("policy", {})),
+            query=(
+                None
+                if data.get("query") is None
+                else QuerySpec.from_dict(data["query"])
+            ),
+        )
+
+    def to_json(self, *, indent: Optional[int] = None) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+    @property
+    def fingerprint(self) -> str:
+        """Stable content address of the report this spec determines."""
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
-class ServeSpec:
+class ServeSpec(ServingSpec):
     """One fully-described serving deployment: system + data + load + knobs.
 
     The online-serving sibling of :class:`ExperimentSpec`: which system
@@ -321,30 +387,11 @@ class ServeSpec:
     query: "Any" = None
 
     def __post_init__(self) -> None:
-        from repro.query.spec import QuerySpec
-        from repro.serve.loadgen import LoadSpec
-        from repro.serve.server import ServePolicy, ServiceModel
+        from repro.serve.policy import ServiceModel
 
-        if not isinstance(self.system, SystemConfig):
-            raise TypeError(
-                f"system must be a SystemConfig, got {type(self.system).__name__}"
-            )
-        if self.load is None:
-            object.__setattr__(self, "load", LoadSpec())
-        elif not isinstance(self.load, LoadSpec):
-            raise TypeError(f"load must be a LoadSpec, got {type(self.load).__name__}")
-        if self.policy is None:
-            object.__setattr__(self, "policy", ServePolicy())
-        elif not isinstance(self.policy, ServePolicy):
-            raise TypeError(
-                f"policy must be a ServePolicy, got {type(self.policy).__name__}"
-            )
+        self._check_sections()
         if self.device is not None and not isinstance(self.device, str):
             raise TypeError(f"device must be a string, got {type(self.device).__name__}")
-        if self.query is not None and not isinstance(self.query, QuerySpec):
-            raise TypeError(
-                f"query must be a QuerySpec, got {type(self.query).__name__}"
-            )
         if self.service is None:
             device = self.device or self.system.device or "abstract"
             object.__setattr__(self, "service", ServiceModel.for_device(device))
@@ -386,40 +433,15 @@ class ServeSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServeSpec":
-        from repro.query.spec import QuerySpec
-        from repro.serve.loadgen import LoadSpec
-        from repro.serve.server import ServePolicy, ServiceModel
+        from repro.serve.policy import ServiceModel
 
         fmt = data.get("format", SERVE_SPEC_FORMAT)
         if fmt != SERVE_SPEC_FORMAT:
             raise ValueError(
                 f"unsupported serve-spec format {fmt!r}, expected {SERVE_SPEC_FORMAT!r}"
             )
-        if "system" not in data:
-            raise ValueError("serve spec is missing the required 'system' section")
         return cls(
-            system=config_from_dict(data["system"]),
-            dataset=DatasetSpec.from_dict(data.get("dataset", {})),
-            load=LoadSpec.from_dict(data.get("load", {})),
-            policy=ServePolicy.from_dict(data.get("policy", {})),
+            **cls._sections_from_dict(data, "serve"),
             service=ServiceModel.from_dict(data.get("service", {})),
             device=data.get("device"),
-            query=(
-                None
-                if data.get("query") is None
-                else QuerySpec.from_dict(data["query"])
-            ),
         )
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServeSpec":
-        return cls.from_dict(json.loads(text))
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable content address of the report this spec determines."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -14,16 +14,20 @@ scales it sideways without surrendering any of its guarantees:
 * :mod:`~repro.fleet.autoscaler` — the windowed, hysteretic control loop
   (scale out when queue-wait dominates the latency budget, in when batch
   occupancy collapses);
-* :mod:`~repro.fleet.server` — the fleet event loop and its cacheable
-  :class:`FleetReport`;
+* :mod:`~repro.fleet.server` — the serving core (the one event loop,
+  which ``DetectionServer`` runs with a single replica) and its
+  cacheable :class:`FleetReport`;
 * :mod:`~repro.fleet.tune` — the cheapest static fleet meeting an SLO.
 
 Determinism carries over verbatim: per-frame detections are keyed by
-``(model, seed, sequence, frame)``, so a 1-replica fleet is
-byte-identical to a bare ``DetectionServer`` and per-stream outputs are
-invariant under replica count and autoscaling schedule.
+``(model, seed, sequence, frame)``, so a bare ``DetectionServer`` is a
+1-replica fleet and per-stream outputs are invariant under replica count
+and autoscaling schedule.
 """
 
+# repro.serve.server subclasses the serving core in repro.fleet.server, so
+# the serve package must finish loading before this one's modules do.
+import repro.serve  # noqa: F401  isort: skip
 from repro.fleet.autoscaler import SCALE_IN, SCALE_OUT, Autoscaler, Decision
 from repro.fleet.replica import ACTIVE, DRAINING, RETIRED, Replica, ReplicaSet
 from repro.fleet.router import (

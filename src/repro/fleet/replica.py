@@ -1,15 +1,16 @@
 """Replica servers and their lifecycle: spawn, serve, drain, retire.
 
-A :class:`Replica` is one serving slot of the fleet — its own device
-profile, micro-batcher, frame queue and :class:`~repro.obs.registry.
-MetricsRegistry` — everything a :class:`~repro.serve.server.
-DetectionServer` owns *except* the per-stream pipeline state, which the
-:class:`~repro.fleet.server.FleetServer` keeps fleet-wide so streams can
-move between replicas without losing tracker identities or query-window
-causality.
+A :class:`Replica` is one serving slot of the serving core — its own
+:class:`~repro.serve.policy.ServiceModel`, micro-batcher, frame queue and
+:class:`~repro.obs.registry.MetricsRegistry` — everything except the
+per-stream pipeline state, which the :class:`~repro.fleet.server.
+FleetServer` core keeps above the replicas so streams can move between
+them without losing tracker identities or query-window causality.  A
+:class:`~repro.serve.server.DetectionServer` is that core with exactly
+one replica.
 
-The :class:`ReplicaSet` owns the pool: it spawns replicas over the
-spec's device cycle, drains the ones the autoscaler retires (a draining
+The :class:`ReplicaSet` owns the pool: it spawns replicas over a cycle
+of service models, drains the ones the autoscaler retires (a draining
 replica finishes its in-flight batch but accepts nothing new), and
 converts the pool's history into the two numbers the tuner cares about —
 **replica-seconds** (allocated capacity over time) and **cost** (those
@@ -18,16 +19,15 @@ seconds priced at each device's hourly rate).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from repro.cost import get_device
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
     MetricsRegistry,
 )
 from repro.serve.batcher import MicroBatcher, QueuedFrame
-from repro.serve.server import ServePolicy, ServiceModel
+from repro.serve.policy import ServePolicy, ServiceModel
 
 #: Replica lifecycle states.
 ACTIVE = "active"  # serving and a placement candidate
@@ -36,20 +36,27 @@ RETIRED = "retired"  # fully stopped; billing clock ended
 
 
 class Replica:
-    """One serving slot: a device, a queue, a batcher, and its metrics."""
+    """One serving slot: a service model, a queue, a batcher, and its metrics.
+
+    ``service`` may be calibrated from a device profile or carry explicit
+    rates (``device`` is then ``None``); either way its cost model's
+    profile prices the replica's allocated time.  ``metrics`` is the
+    registry its instruments live in — a private one when ``None``.
+    """
 
     def __init__(
         self,
         index: int,
-        device: str,
+        service: ServiceModel,
         policy: ServePolicy,
         spawned_at: float,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.index = index
         self.name = f"r{index}"
-        self.device = device
-        self.profile = get_device(device)
-        self.service = ServiceModel.for_device(device)
+        self.service = service
+        self.device = service.device
+        self.profile = service.cost_model().profile
         self.policy = policy
         self.batcher = MicroBatcher(
             max_batch_size=policy.max_batch_size,
@@ -66,14 +73,14 @@ class Replica:
         self.batches = 0
         self.invocations = 0
         self.busy_seconds = 0.0
-        # Each replica gets its own registry — the same instruments a
-        # standalone DetectionServer exports, so per-replica dashboards
-        # and the fleet-level merge both read familiar names.  The
-        # autoscaler diffs the wait/compute/batch-size histograms
+        # The serve_* instruments a DetectionServer exports (it is one
+        # replica whose registry is the caller's), so per-replica
+        # dashboards and the fleet-level merge both read familiar names.
+        # The autoscaler diffs the wait/compute/batch-size histograms
         # between control ticks for its windowed signals.
-        self.metrics = MetricsRegistry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.m_frames = self.metrics.counter(
-            "serve_frames_total", "frames through the replica", labels=("direction",)
+            "serve_frames_total", "frames through the server", labels=("direction",)
         )
         self.m_drops = self.metrics.counter(
             "serve_drops_total", "frames dropped, by reason", labels=("reason",)
@@ -152,20 +159,33 @@ class ReplicaSet:
     Retired replicas stay in ``replicas`` (their lifetime still bills);
     only :meth:`active` members are placement candidates, and
     :meth:`serving` members (active + draining) may still dispatch.
+    Replica ``i`` (by spawn order) is costed by
+    ``services[i % len(services)]``; ``metrics``, when given, is the
+    registry spawned replicas instrument instead of a private one each.
     """
 
-    def __init__(self, spec) -> None:
-        self.spec = spec
+    def __init__(
+        self,
+        policy: ServePolicy,
+        services: Sequence[ServiceModel],
+        *,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        self.policy = policy
+        self.services = tuple(services)
+        self.metrics = metrics
         self.replicas: List[Replica] = []
         self._next_index = 0
 
     def spawn(self, now: float) -> Replica:
-        """Bring up the next replica on the device cycle's next profile."""
+        """Bring up the next replica on the service cycle's next model."""
+        index = self._next_index
         replica = Replica(
-            index=self._next_index,
-            device=self.spec.device_for(self._next_index),
-            policy=self.spec.policy,
+            index=index,
+            service=self.services[index % len(self.services)],
+            policy=self.policy,
             spawned_at=now,
+            metrics=self.metrics,
         )
         self._next_index += 1
         self.replicas.append(replica)

@@ -1,22 +1,27 @@
-"""The fleet server: N replicas, one stream-routing layer, one clock.
+"""The serving core: N replicas, one stream-routing layer, one clock.
 
-:class:`FleetServer` runs the same deterministic discrete-event
-simulation as :class:`~repro.serve.server.DetectionServer`, but over a
-*pool* of replicas: every replica has its own queue, micro-batcher,
-device timing model and metrics registry, while the fleet owns what must
-never fork — the per-stream pipeline state (tracker identities, scenario
--query evaluators, frame sequence numbers) and the stream-to-replica
-routing table.  Keeping stream state fleet-level is the move that makes
+:class:`FleetServer` holds the repo's one serving event loop — the
+deterministic discrete-event simulation, per-stream causal state, batch
+execution, shedding and trace-replay wiring — over a *pool* of replicas:
+every replica has its own queue, micro-batcher, service model and
+metrics registry, while the core owns what must never fork — the
+per-stream pipeline state (tracker identities, scenario-query
+evaluators, stream serial numbers) and the stream-to-replica routing
+table.  Keeping stream state above the replicas is the move that makes
 elasticity safe: re-pinning a stream to another replica moves only its
 *queued* frames (in-flight batches were already computed at dispatch),
-so causality and byte-identity survive any scaling schedule.
+so causality and byte-identity survive any scaling schedule.  A stream's
+pipeline is touched only when its frames are dispatched, in causal
+order — never at admission, while earlier frames still queue.
 
-Determinism contract, extended to fleets: per-frame detections are keyed
-by ``(model, seed, sequence, frame)`` — never by batch, replica or
-placement — so a 1-replica fleet is byte-identical to a bare
-``DetectionServer`` and per-stream outputs are invariant under replica
-count.  What changes with fleet shape is only *when* frames complete:
-latency statistics, shedding, cost.
+:class:`~repro.serve.server.DetectionServer` is this core with one static
+replica; it swaps the fleet's record stream for its ``serve.*`` one and
+shapes the outcome into a ``ServeReport``.  Determinism contract,
+extended to fleets: per-frame detections are keyed by ``(model, seed,
+sequence, frame)`` — never by batch, replica or placement — so
+per-stream outputs are invariant under replica count.  What changes with
+fleet shape is only *when* frames complete: latency statistics,
+shedding, cost.
 
 A :class:`FleetReport` is therefore a pure function of its
 :class:`~repro.fleet.spec.FleetSpec`, cached content-addressed by
@@ -46,7 +51,7 @@ from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.sinks import Sink, as_sinks
 from repro.serve.batcher import QueuedFrame
 from repro.serve.loadgen import FrameRequest
-from repro.serve.server import SHED_OLDEST, ServePolicy
+from repro.serve.policy import SHED_OLDEST, ServePolicy, ServiceModel
 from repro.serve.slo import DEFAULT_MAX_EXACT_SAMPLES, SLOAccount
 
 FLEET_REPORT_FORMAT = "repro-fleet-report/1"
@@ -61,8 +66,34 @@ _MERGED_HISTOGRAMS = (
 )
 
 
+class ServedTotals:
+    """Figures derived alike for a served run's report, fleet or not."""
+
+    @property
+    def mean_batch_size(self) -> float:
+        return self.frames_served / self.batches if self.batches else 0.0
+
+    @property
+    def throughput_fps(self) -> float:
+        """Aggregate served frames per second of simulated time."""
+        return (
+            self.frames_served / self.makespan_seconds
+            if self.makespan_seconds > 0
+            else 0.0
+        )
+
+    def query_report(self):
+        """The scenario-query :class:`~repro.query.offline.QueryReport`
+        (``None`` when the deployment had no query)."""
+        if self.query_windows is None:
+            return None
+        from repro.query.offline import QueryReport
+
+        return QueryReport.from_dict(self.query_windows)
+
+
 @dataclass
-class FleetReport:
+class FleetReport(ServedTotals):
     """What one fleet deployment cost: latency, scaling history, money.
 
     ``frame_results`` and ``wall_seconds`` follow the serve-report
@@ -105,18 +136,6 @@ class FleetReport:
         return self.cost / self.frames_served
 
     @property
-    def mean_batch_size(self) -> float:
-        return self.frames_served / self.batches if self.batches else 0.0
-
-    @property
-    def throughput_fps(self) -> float:
-        return (
-            self.frames_served / self.makespan_seconds
-            if self.makespan_seconds > 0
-            else 0.0
-        )
-
-    @property
     def utilization(self) -> float:
         """Fraction of allocated replica-time spent computing."""
         return (
@@ -128,13 +147,6 @@ class FleetReport:
     @property
     def peak_replicas(self) -> int:
         return len(self.replicas)
-
-    def query_report(self):
-        if self.query_windows is None:
-            return None
-        from repro.query.offline import QueryReport
-
-        return QueryReport.from_dict(self.query_windows)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -254,21 +266,25 @@ class FleetReport:
         return "\n".join([table] + lines)
 
 
-class _FleetStream:
-    """One stream's causal state, owned fleet-wide (never per replica)."""
+class _Stream:
+    """One stream's causal state, owned by the core (never by a replica)."""
 
-    __slots__ = ("pipeline", "sequence", "results", "query", "serial")
+    __slots__ = ("pipeline", "sequence", "results", "query")
 
-    def __init__(self, pipeline, serial: int, query=None):
+    def __init__(self, pipeline, query=None):
         self.pipeline = pipeline
         self.sequence: Optional[Sequence] = None
         self.results = FrameResultBuffer()
         self.query = query
-        self.serial = serial  # admission order; deterministic tiebreak
 
 
 class FleetServer:
     """Replicated serving of one spec over the deterministic clock.
+
+    This class is also the serving core: the event loop, stream state,
+    batch execution, shedding and trace wiring live here once, and
+    :class:`~repro.serve.server.DetectionServer` is its static
+    one-replica front.
 
     Parameters
     ----------
@@ -299,23 +315,69 @@ class FleetServer:
         record_trace: bool = False,
     ) -> None:
         self.spec = spec
-        self.system = system if system is not None else build_system(spec.system)
-        self.policy = spec.policy
-        self.query = spec.query
+        self._init_core(
+            system if system is not None else build_system(spec.system),
+            spec.policy,
+            spec.query,
+            tuple(ServiceModel.for_device(device) for device in spec.devices),
+            metrics,
+            sinks,
+            max_exact_samples,
+            trace,
+            record_trace,
+        )
+        self._replicas = spec.replicas
+        self._placement = spec.placement
+        self._autoscaler = spec.autoscaler
+
+    def _init_core(
+        self,
+        system: DetectionSystem,
+        policy: ServePolicy,
+        query,
+        services,
+        metrics: Optional[MetricsRegistry],
+        sinks,
+        max_exact_samples: int,
+        trace,
+        record_trace: bool,
+        replica_metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        """State shared by both fronts.
+
+        Replica ``i`` (by spawn order) is costed by
+        ``services[i % len(services)]``.  ``replica_metrics`` is a
+        registry every replica instruments instead of a private one each;
+        the fleet-level families then go to a private registry, so
+        ``metrics`` sees exactly what a replica exports.
+        """
+        self.system = system
+        self.policy = policy
+        self.query = query
         self.metrics = resolve_registry(metrics)
         self.sinks = as_sinks(sinks)
         self.max_exact_samples = max_exact_samples
+        self._services = tuple(services)
+        self._replica_metrics = replica_metrics
+        self._fleet_metrics = (
+            self.metrics if replica_metrics is None else MetricsRegistry()
+        )
         self._template = self.system.build_pipeline()
         try:
             self._template.per_stream()
             self._shareable = True
         except TypeError:
+            # Duck-typed stages predating the per_stream protocol: build
+            # fully independent pipelines per stream (no cross-stream
+            # stage sharing, hence no coalescing for this system kind).
             self._shareable = False
-        self._streams: Dict[str, _FleetStream] = {}
+        self._streams: Dict[str, _Stream] = {}
+        self._serials: Dict[str, int] = {}
         # Compute/timing split (see repro.serve.trace): stream state is
-        # fleet-owned and strictly causal per stream, so the same trace
-        # a bare DetectionServer recorded replays here regardless of
-        # replica count, placement or autoscaling.
+        # core-owned and strictly causal per stream, so one recorded
+        # trace replays here regardless of replica count, placement or
+        # autoscaling.  Both off by default — the live path is untouched
+        # unless a Session wires a trace store in.
         self._trace = trace
         self._record_trace = bool(record_trace)
         self._trace_runner = None
@@ -323,10 +385,12 @@ class FleetServer:
         self.recorded_trace = None
 
     # ------------------------------------------------------------------ #
-    # Stream state (fleet-owned)
+    # Stream state (core-owned)
     # ------------------------------------------------------------------ #
 
-    def _stream_state(self, request: FrameRequest) -> _FleetStream:
+    def _stream_state(self, request: FrameRequest) -> _Stream:
+        """The stream's state at dispatch: built on its first dispatched
+        frame, and restarted whenever the stream moves to a new sequence."""
         state = self._streams.get(request.stream)
         if state is None:
             pipeline = (
@@ -339,9 +403,7 @@ class FleetServer:
                 from repro.query.automaton import QueryEvaluator
 
                 evaluator = QueryEvaluator(self.query, request.stream)
-            state = self._streams[request.stream] = _FleetStream(
-                pipeline, serial=len(self._streams), query=evaluator
-            )
+            state = self._streams[request.stream] = _Stream(pipeline, evaluator)
         if state.sequence is not request.sequence:
             state.pipeline.begin_sequence(request.sequence)
             state.sequence = request.sequence
@@ -351,19 +413,28 @@ class FleetServer:
         return sum(getattr(d, "invocations", 0) for d in self.system._detectors())
 
     def _execute(self, batch: List[QueuedFrame]) -> tuple:
+        """Run one batch through the engine.
+
+        Returns ``(results, invocations, macs, windows)`` — the last
+        being the frames-of-interest windows the streams' query
+        evaluators completed on this batch's frames (empty without a
+        query).
+        """
+        states = [self._stream_state(item.request) for item in batch]
         if self._trace_runner is not None:
             from repro.serve.trace import traced_execute
 
-            return traced_execute(self, batch)
-        work = []
-        states = []
-        for item in batch:
-            state = self._stream_state(item.request)
-            states.append(state)
-            work.append((state.pipeline, item.request.sequence, item.request.frame))
-        before = self._measured_invocations()
-        frame_results = run_frame_batch(work, metrics=self.metrics)
-        invocations = self._measured_invocations() - before
+            frame_results, invocations = traced_execute(self, batch, states)
+        else:
+            before = self._measured_invocations()
+            frame_results = run_frame_batch(
+                [
+                    (state.pipeline, item.request.sequence, item.request.frame)
+                    for state, item in zip(states, batch)
+                ],
+                metrics=self.metrics,
+            )
+            invocations = self._measured_invocations() - before
         macs = sum(fr.ops.total for fr in frame_results)
         windows = []
         for state, fr in zip(states, frame_results):
@@ -375,19 +446,52 @@ class FleetServer:
         return frame_results, invocations, macs, windows
 
     # ------------------------------------------------------------------ #
-    # Rebalancing (the only operations that move streams)
+    # Per-event sink records: the fleet logs windows and scale actions
+    # only; the one-replica front overrides these with its serve.* ones.
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _queue_key(state_of):
-        def key(item: QueuedFrame):
-            return (
-                item.enqueued,
-                state_of(item.request.stream),
-                item.request.frame,
-            )
+    def _shed_record(
+        self, request: FrameRequest, reason: str
+    ) -> Optional[Dict[str, Any]]:
+        return None
 
-        return key
+    def _frame_record(
+        self, request: FrameRequest, wait: float, compute: float, latency: float
+    ) -> Optional[Dict[str, Any]]:
+        return None
+
+    def _window_record(self, window, replica: Replica) -> Dict[str, Any]:
+        return {
+            "record": "query.window",
+            "query": self.query.name,
+            "stream": window.stream,
+            "replica": replica.name,
+            "start": window.start,
+            "end": window.end,
+            "phases": list(window.phases),
+        }
+
+    def _summary_record(self, report: "FleetReport") -> Dict[str, Any]:
+        fleet = report.slo["fleet"]
+        return {
+            "record": "fleet.summary",
+            "frames_offered": report.frames_offered,
+            "frames_served": report.frames_served,
+            "frames_shed": report.frames_shed,
+            "batches": report.batches,
+            "invocations": report.invocations,
+            "makespan_seconds": report.makespan_seconds,
+            "replica_seconds": report.replica_seconds,
+            "cost": report.cost,
+            "peak_replicas": report.peak_replicas,
+            "scale_events": len(report.scale_events),
+            "dead_streams": len(report.dead_streams),
+            "p99_ms": fleet["p99_ms"],
+        }
+
+    # ------------------------------------------------------------------ #
+    # Rebalancing (the only operations that move streams)
+    # ------------------------------------------------------------------ #
 
     def _move_stream(
         self, stream: str, source: Replica, target: Replica, router: FleetRouter
@@ -403,8 +507,9 @@ class FleetServer:
             return
         source.queue = [q for q in source.queue if q.request.stream != stream]
         target.queue.extend(moving)
+        serials = self._serials
         target.queue.sort(
-            key=self._queue_key(lambda s: self._streams[s].serial if s in self._streams else -1)
+            key=lambda q: (q.enqueued, serials[q.request.stream], q.request.frame)
         )
         source.m_depth.set(len(source.queue))
         target.m_depth.set(len(target.queue))
@@ -463,11 +568,16 @@ class FleetServer:
     def run(self, requests: List[FrameRequest]) -> FleetReport:
         """Serve an arrival schedule to completion; returns the report.
 
-        Independent per call, like ``DetectionServer.run``: stream state
-        and the replica pool are rebuilt, so back-to-back runs of one
-        schedule are identical (detector caches persist — pure values).
+        ``requests`` must be sorted by arrival time (the load generator's
+        contract) with frames of each stream in causal order.  Each call
+        is independent: stream state and the replica pool are rebuilt,
+        so back-to-back runs of one schedule are identical and never
+        mutate previously returned reports (detector caches persist —
+        they are deterministic pure values).  Both fronts run this loop;
+        it emits the front's summary record.
         """
         self._streams = {}
+        self._serials = {}
         if self._trace is not None or self._record_trace:
             from repro.serve.trace import TraceRunner
 
@@ -477,19 +587,20 @@ class FleetServer:
         else:
             self._trace_runner = None
         wall_start = time.perf_counter()
-        spec = self.spec
         account = SLOAccount(
             self.policy.slo_ms / 1e3, max_exact_samples=self.max_exact_samples
         )
-        router = FleetRouter(spec.placement)
-        pool = ReplicaSet(spec)
-        for _ in range(spec.replicas):
+        router = FleetRouter(self._placement)
+        pool = ReplicaSet(self.policy, self._services, metrics=self._replica_metrics)
+        for _ in range(self._replicas):
             pool.spawn(0.0)
         autoscaler = (
-            Autoscaler(spec.autoscaler, self.policy.max_batch_size)
-            if spec.autoscaler is not None
+            Autoscaler(self._autoscaler, self.policy.max_batch_size)
+            if self._autoscaler is not None
             else None
         )
+        sinks = self.sinks
+        serials = self._serials
         arrivals = deque(requests)
         now = 0.0
         batches = 0
@@ -499,22 +610,23 @@ class FleetServer:
         query_events = 0
         scale_events: List[Dict[str, Any]] = []
 
-        m_fleet_frames = self.metrics.counter(
+        registry = self._fleet_metrics
+        m_fleet_frames = registry.counter(
             "fleet_frames_total", "frames through the fleet", labels=("direction",)
         )
-        m_fleet_drops = self.metrics.counter(
+        m_fleet_drops = registry.counter(
             "fleet_drops_total", "fleet frames dropped, by reason", labels=("reason",)
         )
-        m_fleet_batches = self.metrics.counter(
+        m_fleet_batches = registry.counter(
             "fleet_batches_total", "batches dispatched fleet-wide"
         )
-        m_fleet_invocations = self.metrics.counter(
+        m_fleet_invocations = registry.counter(
             "fleet_invocations_total", "batched invocations fleet-wide"
         )
-        m_replicas = self.metrics.gauge(
+        m_replicas = registry.gauge(
             "fleet_replicas", "live (active) replica count"
         )
-        m_scale = self.metrics.counter(
+        m_scale = registry.counter(
             "fleet_scale_events_total", "autoscaler actions", labels=("action",)
         )
         m_query = (
@@ -528,16 +640,28 @@ class FleetServer:
         )
         m_replicas.set(len(pool.active()))
 
+        def emit(record: Optional[Dict[str, Any]]) -> None:
+            if record is not None:
+                for sink in sinks:
+                    sink.emit(record)
+
         def shed(request: FrameRequest, replica: Replica, reason: str) -> None:
             account.record_shed(request.stream, reason)
             replica.m_drops.inc(labels=(reason,))
             m_fleet_drops.inc(labels=(reason,))
+            if sinks:
+                emit(self._shed_record(request, reason))
 
         def admit(request: FrameRequest) -> None:
-            self._stream_state(request)  # assigns the stream's serial
+            # Admission only numbers the stream (the deterministic tiebreak
+            # when queues merge); its pipeline state is touched at
+            # dispatch, in causal order, never while earlier frames queue.
+            serials.setdefault(request.stream, len(serials))
             replica = router.route(request.stream, pool.active())
             m_fleet_frames.inc(labels=("in",))
             replica.m_frames.inc(labels=("in",))
+            # A frame is batchable from the moment it arrives, so its
+            # coalescing deadline counts from the arrival timestamp.
             if len(replica.queue) >= self.policy.queue_capacity:
                 if self.policy.shed_policy == SHED_OLDEST:
                     victim = replica.queue.pop(0)
@@ -567,18 +691,7 @@ class FleetServer:
             for window in qwindows:
                 query_events += 1
                 m_query.inc(labels=(window.stream,))
-                for sink in self.sinks:
-                    sink.emit(
-                        {
-                            "record": "query.window",
-                            "query": self.query.name,
-                            "stream": window.stream,
-                            "replica": replica.name,
-                            "start": window.start,
-                            "end": window.end,
-                            "phases": list(window.phases),
-                        }
-                    )
+                emit(self._window_record(window, replica))
             service = replica.service.batch_seconds(batch_inv, macs, len(batch))
             completion = now + service
             replica.busy_until = completion
@@ -606,6 +719,8 @@ class FleetServer:
                 replica.m_wait.observe(wait)
                 replica.m_latency.observe(latency)
                 m_fleet_frames.inc(labels=("out",))
+                if sinks:
+                    emit(self._frame_record(item.request, wait, service, latency))
             return None
 
         def apply(decision: Decision) -> None:
@@ -629,8 +744,16 @@ class FleetServer:
                 "moved_streams": moved,
             }
             scale_events.append(event)
-            for sink in self.sinks:
-                sink.emit(dict(event, record="fleet.scale"))
+            emit(dict(event, record="fleet.scale"))
+
+        def dispatch_idle() -> List[float]:
+            wakes: List[float] = []
+            for replica in sorted(pool.serving(), key=lambda r: r.index):
+                if replica.idle and replica.queue:
+                    wake = dispatch(replica)
+                    if wake is not None:
+                        wakes.append(wake)
+            return wakes
 
         def pending() -> bool:
             return bool(arrivals) or any(
@@ -644,24 +767,14 @@ class FleetServer:
                 if replica.busy_until is not None and replica.busy_until <= now:
                     replica.busy_until = None
             pool.retire_idle(now)
-            wakes: List[float] = []
-            for replica in sorted(pool.serving(), key=lambda r: r.index):
-                if replica.idle and replica.queue:
-                    wake = dispatch(replica)
-                    if wake is not None:
-                        wakes.append(wake)
+            wakes = dispatch_idle()
             if autoscaler is not None and now >= autoscaler.next_check:
                 decision = autoscaler.tick(now, pool.serving())
                 if decision is not None:
                     apply(decision)
                     # A drain may have handed queued frames to an idle
                     # replica; let it dispatch at this same instant.
-                    wakes = []
-                    for replica in sorted(pool.serving(), key=lambda r: r.index):
-                        if replica.idle and replica.queue:
-                            wake = dispatch(replica)
-                            if wake is not None:
-                                wakes.append(wake)
+                    wakes = dispatch_idle()
                     pool.retire_idle(now)
             if not pending():
                 break
@@ -685,12 +798,9 @@ class FleetServer:
                 source = replica.metrics.get(name)
                 if source is None or not source.labels_seen():
                     continue
-                merged = self.metrics.histogram(
-                    name, source.help, buckets=source.bounds
-                )
+                merged = registry.histogram(name, source.help, buckets=source.bounds)
                 merged.merge(source)
 
-        fleet = account.fleet()
         query_windows = None
         if self.query is not None:
             from repro.query.offline import QueryReport
@@ -704,40 +814,19 @@ class FleetServer:
         if self._trace_runner is not None:
             self.frames_replayed = self._trace_runner.frames_replayed
             self.recorded_trace = self._trace_runner.out_trace()
-        offered_streams = sorted({r.stream for r in requests})
+        fleet = account.fleet()
         slo = account.to_dict()
-        served_by = {
-            name: stats.get("served", 0)
-            for name, stats in slo.get("streams", {}).items()
-        }
-        dead_streams = [s for s in offered_streams if not served_by.get(s)]
-        summary_record = {
-            "record": "fleet.summary",
-            "frames_offered": len(requests),
-            "frames_served": fleet.served,
-            "frames_shed": fleet.shed,
-            "batches": batches,
-            "invocations": invocations,
-            "makespan_seconds": makespan,
-            "replica_seconds": pool.replica_seconds(makespan),
-            "cost": pool.cost(makespan),
-            "peak_replicas": len(pool.replicas),
-            "scale_events": len(scale_events),
-            "dead_streams": len(dead_streams),
-            "p99_ms": fleet.percentile(99.0) * 1e3,
-        }
-        if self.query is not None:
-            summary_record["query"] = self.query.name
-            summary_record["query_events"] = query_events
-        for sink in self.sinks:
-            sink.emit(summary_record)
-            sink.flush()
-        return FleetReport(
+        offered_streams = sorted({r.stream for r in requests})
+        dead_streams = [
+            s for s in offered_streams
+            if not slo["streams"].get(s, {}).get("served")
+        ]
+        report = FleetReport(
             policy=self.policy,
-            devices=list(spec.devices),
-            placement=spec.placement,
+            devices=[service.device for service in self._services],
+            placement=self._placement,
             autoscaler=(
-                None if spec.autoscaler is None else spec.autoscaler.to_dict()
+                None if self._autoscaler is None else self._autoscaler.to_dict()
             ),
             frames_offered=len(requests),
             frames_served=fleet.served,
@@ -757,8 +846,16 @@ class FleetServer:
                 stream: state.results
                 for stream, state in sorted(self._streams.items())
             },
-            wall_seconds=time.perf_counter() - wall_start,
         )
+        summary = self._summary_record(report)
+        if self.query is not None:
+            summary["query"] = self.query.name
+            summary["query_events"] = query_events
+        for sink in sinks:
+            sink.emit(summary)
+            sink.flush()
+        report.wall_seconds = time.perf_counter() - wall_start
+        return report
 
 
 class FleetReportStore:

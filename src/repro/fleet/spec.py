@@ -17,13 +17,11 @@ replica count x device mix x batch policy) nearly free on revisits.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.api.spec import DatasetSpec, _known_fields
-from repro.core.config import SystemConfig, config_from_dict, config_to_dict
+from repro.api.spec import DatasetSpec, ServingSpec, _known_fields
+from repro.core.config import SystemConfig, config_to_dict
 
 FLEET_SPEC_FORMAT = "repro-fleet-spec/1"
 
@@ -118,7 +116,7 @@ class AutoscalerPolicy:
 
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(ServingSpec):
     """One fully-described fleet deployment.
 
     Parameters
@@ -156,24 +154,8 @@ class FleetSpec:
     def __post_init__(self) -> None:
         from repro.cost import get_device
         from repro.fleet.router import PLACEMENT_POLICIES
-        from repro.query.spec import QuerySpec
-        from repro.serve.loadgen import LoadSpec
-        from repro.serve.server import ServePolicy
 
-        if not isinstance(self.system, SystemConfig):
-            raise TypeError(
-                f"system must be a SystemConfig, got {type(self.system).__name__}"
-            )
-        if self.load is None:
-            object.__setattr__(self, "load", LoadSpec())
-        elif not isinstance(self.load, LoadSpec):
-            raise TypeError(f"load must be a LoadSpec, got {type(self.load).__name__}")
-        if self.policy is None:
-            object.__setattr__(self, "policy", ServePolicy())
-        elif not isinstance(self.policy, ServePolicy):
-            raise TypeError(
-                f"policy must be a ServePolicy, got {type(self.policy).__name__}"
-            )
+        self._check_sections()
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         devices = tuple(self.devices)
@@ -199,10 +181,6 @@ class FleetSpec:
                     f"[{self.autoscaler.min_replicas}, "
                     f"{self.autoscaler.max_replicas}]"
                 )
-        if self.query is not None and not isinstance(self.query, QuerySpec):
-            raise TypeError(
-                f"query must be a QuerySpec, got {type(self.query).__name__}"
-            )
 
     @property
     def label(self) -> str:
@@ -238,22 +216,13 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FleetSpec":
-        from repro.query.spec import QuerySpec
-        from repro.serve.loadgen import LoadSpec
-        from repro.serve.server import ServePolicy
-
         fmt = data.get("format", FLEET_SPEC_FORMAT)
         if fmt != FLEET_SPEC_FORMAT:
             raise ValueError(
                 f"unsupported fleet-spec format {fmt!r}, expected {FLEET_SPEC_FORMAT!r}"
             )
-        if "system" not in data:
-            raise ValueError("fleet spec is missing the required 'system' section")
         return cls(
-            system=config_from_dict(data["system"]),
-            dataset=DatasetSpec.from_dict(data.get("dataset", {})),
-            load=LoadSpec.from_dict(data.get("load", {})),
-            policy=ServePolicy.from_dict(data.get("policy", {})),
+            **cls._sections_from_dict(data, "fleet"),
             replicas=data.get("replicas", 2),
             devices=tuple(data.get("devices", ("abstract",))),
             placement=data.get("placement", "least_loaded"),
@@ -262,22 +231,4 @@ class FleetSpec:
                 if data.get("autoscaler") is None
                 else AutoscalerPolicy.from_dict(data["autoscaler"])
             ),
-            query=(
-                None
-                if data.get("query") is None
-                else QuerySpec.from_dict(data["query"])
-            ),
         )
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FleetSpec":
-        return cls.from_dict(json.loads(text))
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable content address of the report this spec determines."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -12,7 +12,7 @@ registered dataset sequences with Poisson, uniform or trace-replay
 arrivals.
 
 Time is a deterministic discrete-event simulation: service times come
-from a :class:`~repro.serve.server.ServiceModel` — calibrated from a
+from a :class:`~repro.serve.policy.ServiceModel` — calibrated from a
 :mod:`repro.cost` device profile (``ServeSpec(device="titanx")``) — fed
 by *measured* detector invocations and the MAC accounting the pipeline
 already produces, so identical specs yield identical reports — cacheable

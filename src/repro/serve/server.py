@@ -1,10 +1,12 @@
 """The detection server: one shared engine, many concurrent streams.
 
-:class:`DetectionServer` owns per-stream causal pipeline state (one
+:class:`DetectionServer` is the static one-replica front of the serving
+core in :mod:`repro.fleet.server`: per-stream causal pipeline state (one
 tracker per stream, detectors shared across all of them), a bounded
 admission queue with a shedding policy, and a
 :class:`~repro.serve.batcher.MicroBatcher` that coalesces the streams'
-detector calls into cross-stream batched invocations.
+detector calls into cross-stream batched invocations — one event loop,
+whether one replica serves or many.
 
 Execution is a deterministic discrete-event simulation.  Wall time on
 the host measures *this machine's Python*, not the modeled accelerator;
@@ -26,28 +28,25 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence as SequenceType, Union
 
-from repro.api.spec import _known_fields
 from repro.core.config import SystemConfig, build_system
-from repro.core.results import FrameResult, FrameResultBuffer
+from repro.core.results import FrameResult
 from repro.core.systems import DetectionSystem
-from repro.datasets.types import Sequence
-from repro.engine.stages import StagePipeline, run_frame_batch
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    MetricsRegistry,
-    resolve_registry,
-)
-from repro.obs.sinks import Sink, as_sinks
-from repro.serve.batcher import MicroBatcher, QueuedFrame
+from repro.fleet.server import FleetServer, ServedTotals
+from repro.obs.registry import MetricsRegistry, resolve_registry
+from repro.obs.sinks import Sink
 from repro.serve.loadgen import FrameRequest
-from repro.serve.slo import DEFAULT_MAX_EXACT_SAMPLES, SLOAccount
+from repro.serve.policy import (  # noqa: F401 - re-exported, their historical home
+    SHED_NEWEST,
+    SHED_OLDEST,
+    SHED_POLICIES,
+    ServePolicy,
+    ServiceModel,
+)
+from repro.serve.slo import DEFAULT_MAX_EXACT_SAMPLES
 
 # Format 2 added shed-reason splits, queue-wait/compute percentiles and
 # fleet histograms to the SLO section; format 3 added the scenario-query
@@ -55,192 +54,9 @@ from repro.serve.slo import DEFAULT_MAX_EXACT_SAMPLES, SLOAccount
 # are therefore clean cache misses, never misreads.
 REPORT_FORMAT = "repro-serve-report/3"
 
-#: Shedding policies for a full admission queue.
-SHED_OLDEST = "oldest"  #: drop the oldest queued frame, admit the new one
-SHED_NEWEST = "newest"  #: reject the arriving frame, keep the queue
-SHED_POLICIES = (SHED_OLDEST, SHED_NEWEST)
-
-
-@dataclass(frozen=True)
-class ServePolicy:
-    """Admission + batching + SLO knobs of one server deployment.
-
-    Parameters
-    ----------
-    max_batch_size / max_wait_ms:
-        Micro-batching policy (see :class:`~repro.serve.batcher.MicroBatcher`).
-    queue_capacity:
-        Bound on queued (admitted, undispatched) frames; arrivals beyond
-        it trigger the shedding policy.
-    shed_policy:
-        ``"oldest"`` sheds the longest-queued frame in favour of the
-        arrival (fresh frames are worth more than stale ones on a live
-        feed); ``"newest"`` rejects the arrival.
-    slo_ms:
-        End-to-end latency objective used for violation counting.
-    """
-
-    max_batch_size: int = 8
-    max_wait_ms: float = 25.0
-    queue_capacity: int = 64
-    shed_policy: str = SHED_OLDEST
-    slo_ms: float = 200.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
-        if self.queue_capacity < 1:
-            raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"shed_policy must be one of {SHED_POLICIES}, got {self.shed_policy!r}"
-            )
-        if self.slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {self.slo_ms}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
-            "queue_capacity": self.queue_capacity,
-            "shed_policy": self.shed_policy,
-            "slo_ms": self.slo_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServePolicy":
-        return cls(**_known_fields(cls, data))
-
-
-@dataclass(frozen=True)
-class ServiceModel:
-    """Accelerator timing model: fixed per-invocation cost + MAC rate.
-
-    The paper's systems run DNNs on an accelerator whose every
-    invocation pays a fixed overhead (kernel launch, host round-trip,
-    weight residency) before the data-dependent compute.  Micro-batching
-    exists because of that first term: a batch of N frames pays it once
-    instead of N times.
-
-    Since the unified cost layer (:mod:`repro.cost`) every service time
-    is computed by a :class:`~repro.cost.CostModel`.  The preferred
-    construction is :meth:`for_device` (or just ``ServiceModel()``,
-    which calibrates from the ``"abstract"`` profile): the model then
-    carries its device provenance, uses the *full* profile — including
-    per-frame CPU overhead — and its displayed rates are derived, never
-    invented.  Explicit ``invocation_overhead_ms`` / ``gops_per_second``
-    values remain supported for ad-hoc what-if models, but such a model
-    records ``device=None`` and cannot be combined with a device-naming
-    spec (the spec layer rejects the pair as contradictory).
-
-    Parameters
-    ----------
-    invocation_overhead_ms:
-        Fixed cost charged per batched detector invocation (``None``
-        derives it from the device profile).
-    gops_per_second:
-        Sustained accelerator throughput the MAC volume is costed at
-        (``None`` derives it from the device profile).
-    device:
-        Registered :data:`repro.cost.DEVICE_PROFILES` name this model is
-        calibrated from; ``None`` marks explicit uncalibrated rates.
-    """
-
-    invocation_overhead_ms: Optional[float] = None
-    gops_per_second: Optional[float] = None
-    device: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        from repro.cost import get_device
-
-        explicit = (
-            self.invocation_overhead_ms is not None
-            or self.gops_per_second is not None
-        )
-        if self.device is None and not explicit:
-            object.__setattr__(self, "device", "abstract")
-        if self.device is not None:
-            profile = get_device(self.device)  # raises for unknown names
-            for name, derived in (
-                ("invocation_overhead_ms", profile.invocation_overhead_ms),
-                ("gops_per_second", profile.gops_per_second),
-            ):
-                value = getattr(self, name)
-                if value is None:
-                    object.__setattr__(self, name, derived)
-                elif value != derived:
-                    raise ValueError(
-                        f"{name}={value} contradicts device {self.device!r} "
-                        f"(its calibrated value is {derived}); pass explicit "
-                        f"rates or a device, not both"
-                    )
-        else:
-            from repro.cost import ABSTRACT
-
-            if self.invocation_overhead_ms is None:
-                object.__setattr__(
-                    self, "invocation_overhead_ms", ABSTRACT.invocation_overhead_ms
-                )
-            if self.gops_per_second is None:
-                object.__setattr__(self, "gops_per_second", ABSTRACT.gops_per_second)
-        if self.invocation_overhead_ms < 0:
-            raise ValueError(
-                f"invocation_overhead_ms must be >= 0, got {self.invocation_overhead_ms}"
-            )
-        if self.gops_per_second <= 0:
-            raise ValueError(
-                f"gops_per_second must be positive, got {self.gops_per_second}"
-            )
-        # batch_seconds sits in the simulator's per-batch hot loop: build
-        # the cost model once, not per call.  Not a dataclass field, so
-        # equality/repr/serialization are untouched.
-        from repro.cost import CostModel, get_device, profile_from_service_rates
-
-        if self.device is not None:
-            cost = CostModel(get_device(self.device))
-        else:
-            cost = CostModel(
-                profile_from_service_rates(
-                    self.invocation_overhead_ms, self.gops_per_second
-                )
-            )
-        object.__setattr__(self, "_cost_model", cost)
-
-    @classmethod
-    def for_device(cls, device: str) -> "ServiceModel":
-        """A service model calibrated from a registered device profile."""
-        from repro.cost import get_device
-
-        return cls(device=get_device(device).name)
-
-    def cost_model(self):
-        """The :class:`~repro.cost.CostModel` service times come from."""
-        return self._cost_model
-
-    def batch_seconds(self, invocations: int, macs: float, frames: int = 0) -> float:
-        """Service time of one batch from measured invocations + MACs.
-
-        ``frames`` (the batch's frame count) charges the profile's
-        per-frame CPU overhead; zero for uncalibrated explicit rates.
-        """
-        return self._cost_model.batch_seconds(invocations, macs, frames)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "invocation_overhead_ms": self.invocation_overhead_ms,
-            "gops_per_second": self.gops_per_second,
-            "device": self.device,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServiceModel":
-        return cls(**_known_fields(cls, data))
-
 
 @dataclass
-class ServeReport:
+class ServeReport(ServedTotals):
     """What one served load cost: throughput, latency, SLO accounting.
 
     ``frame_results`` (per-stream :class:`FrameResult` lists, dispatch
@@ -269,28 +85,6 @@ class ServeReport:
     query_windows: Optional[Dict[str, Any]] = None
     frame_results: Optional[Dict[str, SequenceType[FrameResult]]] = None
     wall_seconds: float = 0.0
-
-    def query_report(self):
-        """The scenario-query :class:`~repro.query.offline.QueryReport`
-        (``None`` when the deployment had no query)."""
-        if self.query_windows is None:
-            return None
-        from repro.query.offline import QueryReport
-
-        return QueryReport.from_dict(self.query_windows)
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.frames_served / self.batches if self.batches else 0.0
-
-    @property
-    def throughput_fps(self) -> float:
-        """Aggregate served frames per second of simulated time."""
-        return (
-            self.frames_served / self.makespan_seconds
-            if self.makespan_seconds > 0
-            else 0.0
-        )
 
     @property
     def utilization(self) -> float:
@@ -396,21 +190,14 @@ class ServeReport:
         return f"{table}\n{summary}"
 
 
-class _StreamState:
-    """One stream's causal serving state."""
-
-    __slots__ = ("pipeline", "sequence", "results", "query")
-
-    def __init__(self, pipeline: StagePipeline, query=None):
-        self.pipeline = pipeline
-        self.sequence: Optional[Sequence] = None
-        self.results = FrameResultBuffer()
-        # Per-stream scenario-query evaluator, cloned like the tracker.
-        self.query = query
-
-
-class DetectionServer:
+class DetectionServer(FleetServer):
     """Micro-batched multi-stream serving over one shared engine.
+
+    The static one-replica front of the serving core
+    (:class:`~repro.fleet.server.FleetServer`): the event loop, stream
+    state, batch execution and shedding are the core's; this class
+    validates its inputs, emits the ``serve.*`` record stream and shapes
+    the outcome into a :class:`ServeReport`.
 
     Parameters
     ----------
@@ -473,9 +260,6 @@ class DetectionServer:
                 f"device={device!r}; pass one or the other "
                 f"(use ServiceModel.for_device({device!r}))"
             )
-        self.system = build_system(system) if isinstance(system, SystemConfig) else system
-        self.policy = policy
-        self.service = service
         if query is not None:
             from repro.query.spec import QuerySpec
 
@@ -483,92 +267,71 @@ class DetectionServer:
                 raise TypeError(
                     f"query must be a QuerySpec, got {type(query).__name__}"
                 )
-        self.query = query
-        self.metrics = resolve_registry(metrics)
-        self.sinks = as_sinks(sinks)
-        self.max_exact_samples = max_exact_samples
-        self.batcher = MicroBatcher(
-            max_batch_size=policy.max_batch_size,
-            max_wait=policy.max_wait_ms / 1e3,
-        )
-        self._template = self.system.build_pipeline()
-        try:
-            self._template.per_stream()
-            self._shareable = True
-        except TypeError:
-            # Duck-typed stages predating the per_stream protocol: build
-            # fully independent pipelines per stream (no cross-stream
-            # stage sharing, hence no coalescing for this system kind).
-            self._shareable = False
-        self._streams: Dict[str, _StreamState] = {}
-        # Compute/timing split (see repro.serve.trace): an optional
-        # recorded ComputeTrace to replay, and whether to record this
-        # run's own outgoing trace.  Both off by default — the live path
-        # is untouched unless a Session wires a trace store in.
-        self._trace = trace
-        self._record_trace = bool(record_trace)
-        self._trace_runner = None
-        self.frames_replayed = 0
-        self.recorded_trace = None
-
-    # ------------------------------------------------------------------ #
-
-    def _stream_state(self, request: FrameRequest) -> _StreamState:
-        state = self._streams.get(request.stream)
-        if state is None:
-            pipeline = (
-                self._template.per_stream()
-                if self._shareable
-                else self.system.build_pipeline()
-            )
-            evaluator = None
-            if self.query is not None:
-                from repro.query.automaton import QueryEvaluator
-
-                evaluator = QueryEvaluator(self.query, request.stream)
-            state = self._streams[request.stream] = _StreamState(pipeline, evaluator)
-        if state.sequence is not request.sequence:
-            state.pipeline.begin_sequence(request.sequence)
-            state.sequence = request.sequence
-        return state
-
-    def _measured_invocations(self) -> int:
-        return sum(
-            getattr(d, "invocations", 0) for d in self.system._detectors()
+        self.service = service
+        registry = resolve_registry(metrics)
+        # The caller's registry is the one replica's: it sees the serve_*
+        # families live, while the core's fleet-level ones stay private.
+        self._init_core(
+            build_system(system) if isinstance(system, SystemConfig) else system,
+            policy,
+            query,
+            (service,),
+            registry,
+            sinks,
+            max_exact_samples,
+            trace,
+            record_trace,
+            replica_metrics=registry,
         )
 
-    def _execute(self, batch: List[QueuedFrame]) -> tuple:
-        """Run one batch through the engine.
+    # One static replica: nothing to route between, nothing to scale.
+    _replicas = 1
+    _placement = "least_loaded"
+    _autoscaler = None
 
-        Returns ``(results, invocations, macs, windows)`` — the last
-        being the frames-of-interest windows the streams' query
-        evaluators completed on this batch's frames (empty without a
-        query).
-        """
-        if self._trace_runner is not None:
-            from repro.serve.trace import traced_execute
+    # perfbench wraps methods through cls.__dict__ and counts dispatched
+    # batches from this one, so it must be bound in this class body.
+    _execute = FleetServer._execute
 
-            return traced_execute(self, batch)
-        work = []
-        states = []
-        for item in batch:
-            state = self._stream_state(item.request)
-            states.append(state)
-            work.append((state.pipeline, item.request.sequence, item.request.frame))
-        before = self._measured_invocations()
-        frame_results = run_frame_batch(work, metrics=self.metrics)
-        invocations = self._measured_invocations() - before
-        macs = sum(fr.ops.total for fr in frame_results)
-        windows = []
-        for state, fr in zip(states, frame_results):
-            state.results.append(fr)
-            if state.query is not None:
-                window = state.query.observe(fr)
-                if window is not None:
-                    windows.append(window)
-        return frame_results, invocations, macs, windows
+    def _shed_record(self, request: FrameRequest, reason: str) -> Dict[str, Any]:
+        return {
+            "record": "serve.shed",
+            "stream": request.stream,
+            "frame": request.frame,
+            "reason": reason,
+            "arrival_s": request.arrival,
+        }
 
-    # ------------------------------------------------------------------ #
+    def _frame_record(
+        self, request: FrameRequest, wait: float, compute: float, latency: float
+    ) -> Dict[str, Any]:
+        return {
+            "record": "serve.frame",
+            "stream": request.stream,
+            "frame": request.frame,
+            "wait_ms": wait * 1e3,
+            "compute_ms": compute * 1e3,
+            "latency_ms": latency * 1e3,
+        }
+
+    def _window_record(self, window, replica) -> Dict[str, Any]:
+        record = super()._window_record(window, replica)
+        del record["replica"]  # one replica: naming it says nothing
+        return record
+
+    def _summary_record(self, report) -> Dict[str, Any]:
+        fleet = report.slo["fleet"]
+        return {
+            "record": "serve.summary",
+            "frames_offered": report.frames_offered,
+            "frames_served": report.frames_served,
+            "frames_shed": report.frames_shed,
+            "shed_reasons": dict(fleet["shed_reasons"]),
+            "batches": report.batches,
+            "invocations": report.invocations,
+            "makespan_seconds": report.makespan_seconds,
+            "p99_ms": fleet["p99_ms"],
+        }
 
     def run(self, requests: List[FrameRequest]) -> ServeReport:
         """Serve an arrival schedule to completion; returns the report.
@@ -580,218 +343,21 @@ class DetectionServer:
         reports and never mutate previously returned ones.  (Detector
         caches persist across runs — they are deterministic pure values.)
         """
-        # Fresh per-stream pipelines and result lists per run: stale
-        # tracker state would make a repeat run diverge, and the report
-        # returned below aliases the per-stream result lists.
-        self._streams = {}
-        if self._trace is not None or self._record_trace:
-            from repro.serve.trace import TraceRunner
-
-            self._trace_runner = TraceRunner(
-                self._trace, shareable=self._shareable
-            )
-        else:
-            self._trace_runner = None
-        wall_start = time.perf_counter()
-        account = SLOAccount(
-            self.policy.slo_ms / 1e3, max_exact_samples=self.max_exact_samples
-        )
-        arrivals = deque(requests)
-        queue: List[QueuedFrame] = []
-        now = 0.0
-        batches = 0
-        invocations = 0
-        compute_seconds = 0.0
-        last_completion = 0.0
-
-        # Live-registry handles, resolved once per run (get-or-create).
-        m_frames = self.metrics.counter(
-            "serve_frames_total", "frames through the server", labels=("direction",)
-        )
-        m_drops = self.metrics.counter(
-            "serve_drops_total", "frames dropped, by reason", labels=("reason",)
-        )
-        m_batches = self.metrics.counter("serve_batches_total", "dispatched batches")
-        m_invocations = self.metrics.counter(
-            "serve_invocations_total", "batched detector invocations"
-        )
-        m_wait = self.metrics.histogram(
-            "serve_queue_wait_seconds", "arrival to dispatch",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        m_compute = self.metrics.histogram(
-            "serve_compute_seconds", "modeled batch service time",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        m_latency = self.metrics.histogram(
-            "serve_latency_seconds", "arrival to completion",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        m_batch_size = self.metrics.histogram(
-            "serve_batch_size", "frames per dispatched batch",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
-        m_depth = self.metrics.gauge(
-            "serve_queue_depth", "admitted frames awaiting dispatch"
-        )
-        m_query = (
-            self.metrics.counter(
-                "serve_query_events_total",
-                "frames-of-interest windows emitted by the scenario query",
-                labels=("stream",),
-            )
-            if self.query is not None
-            else None
-        )
-        query_events = 0
-
-        def shed(request: FrameRequest, reason: str) -> None:
-            account.record_shed(request.stream, reason)
-            m_drops.inc(labels=(reason,))
-            for sink in self.sinks:
-                sink.emit(
-                    {
-                        "record": "serve.shed",
-                        "stream": request.stream,
-                        "frame": request.frame,
-                        "reason": reason,
-                        "arrival_s": request.arrival,
-                    }
-                )
-
-        def admit(request: FrameRequest) -> None:
-            # A frame is batchable from the moment it arrives, so its
-            # coalescing deadline counts from the arrival timestamp.
-            m_frames.inc(labels=("in",))
-            if len(queue) >= self.policy.queue_capacity:
-                if self.policy.shed_policy == SHED_OLDEST:
-                    victim = queue.pop(0)
-                    shed(victim.request, "shed_oldest")
-                else:
-                    shed(request, "reject_newest")
-                    return
-            queue.append(QueuedFrame(request=request, enqueued=request.arrival))
-            m_depth.set(len(queue))
-
-        while arrivals or queue:
-            # Fold in everything that has arrived by the current time.
-            while arrivals and arrivals[0].arrival <= now:
-                admit(arrivals.popleft())
-            if not queue:
-                # Idle: jump to the next arrival.
-                now = max(now, arrivals[0].arrival)
-                admit(arrivals.popleft())
-                continue
-            ready = self.batcher.ready(queue)
-            batch, wake = self.batcher.decide(
-                now, ready, more_arrivals=bool(arrivals)
-            )
-            if batch is None:
-                # Keep coalescing until the deadline or the next arrival.
-                now = min(wake, arrivals[0].arrival) if arrivals else wake
-                continue
-            for item in batch:
-                queue.remove(item)
-            m_depth.set(len(queue))
-            _, batch_inv, macs, qwindows = self._execute(batch)
-            for window in qwindows:
-                query_events += 1
-                m_query.inc(labels=(window.stream,))
-                for sink in self.sinks:
-                    sink.emit(
-                        {
-                            "record": "query.window",
-                            "query": self.query.name,
-                            "stream": window.stream,
-                            "start": window.start,
-                            "end": window.end,
-                            "phases": list(window.phases),
-                        }
-                    )
-            service = self.service.batch_seconds(batch_inv, macs, len(batch))
-            completion = now + service
-            batches += 1
-            invocations += batch_inv
-            compute_seconds += service
-            last_completion = completion
-            m_batches.inc()
-            m_invocations.inc(batch_inv)
-            m_batch_size.observe(len(batch))
-            m_compute.observe(service)
-            for item in batch:
-                wait = now - item.request.arrival
-                latency = completion - item.request.arrival
-                account.record(
-                    item.request.stream, wait=wait, compute=service, latency=latency
-                )
-                m_frames.inc(labels=("out",))
-                m_wait.observe(wait)
-                m_latency.observe(latency)
-                for sink in self.sinks:
-                    sink.emit(
-                        {
-                            "record": "serve.frame",
-                            "stream": item.request.stream,
-                            "frame": item.request.frame,
-                            "wait_ms": wait * 1e3,
-                            "compute_ms": service * 1e3,
-                            "latency_ms": latency * 1e3,
-                        }
-                    )
-            # The engine is busy until `completion`: arrivals during the
-            # batch just queue up (and may be shed) before the next
-            # dispatch decision at `completion`.
-            while arrivals and arrivals[0].arrival <= completion:
-                admit(arrivals.popleft())
-            now = completion
-
-        if self._trace_runner is not None:
-            self.frames_replayed = self._trace_runner.frames_replayed
-            self.recorded_trace = self._trace_runner.out_trace()
-        fleet = account.fleet()
-        query_windows = None
-        if self.query is not None:
-            from repro.query.offline import QueryReport
-
-            by_stream = {
-                stream: state.query.finish()
-                for stream, state in self._streams.items()
-                if state.query is not None
-            }
-            query_windows = QueryReport.build(self.query, by_stream).to_dict()
-        summary_record = {
-            "record": "serve.summary",
-            "frames_offered": len(requests),
-            "frames_served": fleet.served,
-            "frames_shed": fleet.shed,
-            "shed_reasons": dict(sorted(fleet.shed_reasons.items())),
-            "batches": batches,
-            "invocations": invocations,
-            "makespan_seconds": last_completion,
-            "p99_ms": fleet.percentile(99.0) * 1e3,
-        }
-        if self.query is not None:
-            summary_record["query"] = self.query.name
-            summary_record["query_events"] = query_events
-        for sink in self.sinks:
-            sink.emit(summary_record)
-            sink.flush()
+        report = super().run(requests)
         return ServeReport(
             policy=self.policy,
             service=self.service,
-            frames_offered=len(requests),
-            frames_served=fleet.served,
-            frames_shed=fleet.shed,
-            batches=batches,
-            invocations=invocations,
-            makespan_seconds=last_completion,
-            compute_seconds=compute_seconds,
-            slo=account.to_dict(),
-            query_windows=query_windows,
-            frame_results={
-                stream: state.results for stream, state in sorted(self._streams.items())
-            },
-            wall_seconds=time.perf_counter() - wall_start,
+            frames_offered=report.frames_offered,
+            frames_served=report.frames_served,
+            frames_shed=report.frames_shed,
+            batches=report.batches,
+            invocations=report.invocations,
+            makespan_seconds=report.makespan_seconds,
+            compute_seconds=report.compute_seconds,
+            slo=report.slo,
+            query_windows=report.query_windows,
+            frame_results=report.frame_results,
+            wall_seconds=report.wall_seconds,
         )
 
 

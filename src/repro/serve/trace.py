@@ -21,8 +21,9 @@ deployment shares a single trace, and serve and fleet runs share it
 too.
 
 :class:`TraceRunner` + :func:`traced_execute` implement the replay fast
-path used by both :class:`~repro.serve.server.DetectionServer` and
-:class:`~repro.fleet.server.FleetServer`: while a stream's admitted
+path of the serving core (:class:`~repro.fleet.server.FleetServer`, and
+so of its one-replica front :class:`~repro.serve.server.DetectionServer`
+too): while a stream's admitted
 subsequence matches the trace prefix, engine stages are skipped and the
 recorded outputs and cost terms are fed through the batcher/SLO/metrics
 machinery unchanged; on first divergence (a shed frame changed tracker
@@ -216,7 +217,7 @@ class _Cursor:
 
 
 class TraceRunner:
-    """Per-run replay/record driver shared by the serve and fleet servers.
+    """Per-run replay/record driver of the serving core.
 
     Holds one cursor per stream over the stored trace (if any) and
     accumulates the run's own outgoing trace — the replayed prefix plus
@@ -274,14 +275,15 @@ class TraceRunner:
         return ComputeTrace(dict(self._out))
 
 
-def traced_execute(server: Any, batch: List[Any]):
-    """Replay-aware ``_execute`` shared by the serve and fleet servers.
+def traced_execute(server: Any, batch: List[Any], states: List[Any]):
+    """Replay-aware batch execution of the serving core.
 
-    Splits the batch into replayable frames (the stream's admitted
-    subsequence still matches its trace prefix) and live ones, runs only
-    the live cohort through the engine, and reassembles per-frame
-    results, the batch invocation count and MACs exactly as the live
-    path would have measured them:
+    ``states`` are the batch's per-stream states, already positioned on
+    each frame's sequence.  Splits the batch into replayable frames (the
+    stream's admitted subsequence still matches its trace prefix) and
+    live ones, runs only the live cohort through the engine, and returns
+    the per-frame results and the batch invocation count exactly as the
+    live path would have measured them:
 
     * shareable systems make a constant number of batched detector calls
       per dispatch whatever the batch holds, so the live cohort's delta
@@ -298,20 +300,17 @@ def traced_execute(server: Any, batch: List[Any]):
     """
     runner = server._trace_runner
     n = len(batch)
-    states: List[Any] = [None] * n
     records: List[Optional[FrameRecord]] = [None] * n
     live: List[int] = []
     for idx, item in enumerate(batch):
         req = item.request
-        state = server._stream_state(req)
-        states[idx] = state
         rec = runner.match(req.stream, req.sequence.name, req.frame)
         if rec is not None:
             records[idx] = rec
             continue
         prefix = runner.go_live(req.stream, req.sequence.name)
         for old in prefix:
-            run_frame_batch([(state.pipeline, req.sequence, old.frame)])
+            run_frame_batch([(states[idx].pipeline, req.sequence, old.frame)])
         live.append(idx)
 
     frame_results: List[Optional[FrameResult]] = [None] * n
@@ -354,19 +353,10 @@ def traced_execute(server: Any, batch: List[Any]):
         invocations = live_inv if live else (max(replayed_inv) if replayed_inv else 0)
     else:
         invocations = live_inv + sum(replayed_inv)
-    macs = sum(fr.ops.total for fr in frame_results)
 
-    windows = []
     for idx, item in enumerate(batch):
-        state = states[idx]
-        fr = frame_results[idx]
         rec = records[idx]
         if rec is None:
-            rec = FrameRecord(item.request.frame, fr, per_frame_inv[idx])
+            rec = FrameRecord(item.request.frame, frame_results[idx], per_frame_inv[idx])
         runner.append(item.request.stream, item.request.sequence.name, rec)
-        state.results.append(fr)
-        if state.query is not None:
-            window = state.query.observe(fr)
-            if window is not None:
-                windows.append(window)
-    return frame_results, invocations, macs, windows
+    return frame_results, invocations

@@ -164,13 +164,19 @@ class TuneResult:
         return f"{table}\n{verdict}"
 
 
+#: Plain-int Session counters a worker's sweep points move.
+_SESSION_COUNTERS = ("trace_hits", "trace_misses", "frames_replayed")
+
+
 def _evaluate_point(item):
     """Worker-process entry: evaluate one sweep point end to end.
 
     Builds its own :class:`~repro.api.session.Session` over the shared
     cache directory (content-addressed atomic writes make concurrent
-    workers safe) and returns the report as a plain dict — the parent
-    reconstructs it exactly like a cache hit, statistics only.
+    workers safe) and returns ``(report, counters)``: the report as a
+    plain dict — the parent reconstructs it exactly like a cache hit,
+    statistics only — and the worker session's cache/trace counters,
+    which the parent adds to its own session.
     """
     kind, cache_dir, spec_dict, use_cache = item
     from repro.api.session import Session
@@ -186,7 +192,19 @@ def _evaluate_point(item):
         report = session.serve_fleet(_Spec.from_dict(spec_dict), use_cache=use_cache)
     else:
         raise ValueError(f"unknown sweep kind: {kind!r}")
-    return report.to_dict()
+    counters = {name: getattr(session, name) for name in _SESSION_COUNTERS}
+    counters["cache_hits"] = session.cache_hits
+    counters["cache_misses"] = session.cache_misses
+    return report.to_dict(), counters
+
+
+def _add_counters(session, counters) -> None:
+    """Sum a worker session's counters into the parent ``session``."""
+    for name in _SESSION_COUNTERS:
+        setattr(session, name, getattr(session, name) + counters[name])
+    if session.cache is not None:
+        session.cache.hits += counters["cache_hits"]
+        session.cache.misses += counters["cache_misses"]
 
 
 def sweep_reports(
@@ -260,8 +278,9 @@ def sweep_reports(
             on_progress=lambda done, n, label: notify(label),
             labels=[labels[i] for i in pending],
         )
-        for i, payload in zip(pending, results):
+        for i, (payload, counters) in zip(pending, results):
             reports[i] = _Report.from_dict(payload)
+            _add_counters(session, counters)
     return reports
 
 

@@ -26,7 +26,7 @@ import pytest
 
 from repro.api.session import Session
 from repro.api.spec import DatasetSpec
-from repro.core.config import SystemConfig
+from repro.core.config import SystemConfig, build_system
 from repro.fleet import (
     SCALE_IN,
     SCALE_OUT,
@@ -36,12 +36,14 @@ from repro.fleet import (
 )
 from repro.serve import (
     DetectionServer,
+    FrameRequest,
     LoadSpec,
     ServePolicy,
     generate_load,
 )
 
 SYSTEM = SystemConfig("single", "resnet10a", detailed_ops=False)
+CATDET = SystemConfig("catdet", "resnet50", "resnet10a", detailed_ops=False)
 
 #: The pinned acceptance scenario (also CI's fleet-smoke job): bursty
 #: arrivals whose peaks genuinely exceed one edge replica's capacity
@@ -112,21 +114,44 @@ def auto_report(kitti_small):
     return _run(_fleet_spec(replicas=1, autoscaler=PIN_AUTO), kitti_small)
 
 
+def _poisson_schedule(dataset):
+    load = LoadSpec(
+        pattern="poisson", num_streams=2, rate_hz=10.0,
+        frames_per_stream=40, seed=3,
+    )
+    return SYSTEM, generate_load(load, dataset)
+
+
+def _sequence_switch_schedule(dataset):
+    """One stream: frames 0-9 of sequence A, then frames 0-9 of sequence
+    B, arriving 1 ms apart — B's frames queue while A's are in flight."""
+    first, second = dataset.sequences[:2]
+    requests = [
+        FrameRequest(stream="cam", sequence=sequence, frame=f, arrival=0.001 * i)
+        for i, (sequence, f) in enumerate(
+            [(first, f) for f in range(10)] + [(second, f) for f in range(10)]
+        )
+    ]
+    return CATDET, requests
+
+
 class TestByteIdentity:
-    def test_one_replica_matches_bare_server(self, kitti_small):
+    @pytest.mark.parametrize(
+        "schedule",
+        [_poisson_schedule, _sequence_switch_schedule],
+        ids=["poisson", "sequence_switch"],
+    )
+    def test_one_replica_matches_bare_server(self, kitti_small, schedule):
         """The fleet loop degenerates to DetectionServer for one replica:
-        identical detections *and* an identical latency distribution."""
-        load = LoadSpec(
-            pattern="poisson", num_streams=2, rate_hz=10.0,
-            frames_per_stream=40, seed=3,
-        )
+        identical detections *and* an identical latency distribution —
+        and both equal the offline frame-at-a-time stream, however a
+        stream's frames and its sequence switches queue up."""
+        system, requests = schedule(kitti_small)
         policy = ServePolicy(max_batch_size=4, max_wait_ms=10.0, slo_ms=2000.0)
-        bare = DetectionServer(SYSTEM, policy=policy, device="edge").run(
-            generate_load(load, kitti_small)
-        )
-        fleet = _run(
-            _fleet_spec(load=load, policy=policy, replicas=1), kitti_small
-        )
+        bare = DetectionServer(system, policy=policy, device="edge").run(requests)
+        fleet = FleetServer(
+            _fleet_spec(system=system, policy=policy, replicas=1)
+        ).run(requests)
         assert_same_detections(
             _detections_by_stream(bare), _detections_by_stream(fleet)
         )
@@ -139,6 +164,16 @@ class TestByteIdentity:
             assert fleet.slo["fleet"][key] == pytest.approx(
                 bare.slo["fleet"][key], abs=1e-9
             )
+        reference = {}
+        offline = build_system(system)
+        for request in requests:
+            (result,) = offline.stream([(request.sequence, request.frame)])
+            reference.setdefault(request.stream, []).append(
+                (result.frame, result.detections.boxes,
+                 result.detections.scores, result.detections.labels)
+            )
+        assert_same_detections(reference, _detections_by_stream(bare))
+        assert_same_detections(reference, _detections_by_stream(fleet))
 
     @pytest.mark.parametrize("replicas", [2, 3])
     def test_replica_count_invariance(self, kitti_small, replicas, static_report):

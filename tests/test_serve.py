@@ -13,6 +13,9 @@ The load-bearing guarantees:
   bit-identically from the session cache.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -735,3 +738,101 @@ class TestShedReasons:
         assert summary["frames_offered"] == report.frames_offered
         shed = [r for r in sink.records if r["record"] == "serve.shed"]
         assert all(r["reason"] == "shed_oldest" for r in shed)
+
+
+GOLDEN_PATH = Path(__file__).parent / "fixtures" / "serve_golden.json"
+
+
+def _golden_runs(dataset):
+    """Sink records and registry snapshots of one shedding, query-bearing
+    schedule served by a bare server and by a 2-replica autoscaled fleet.
+
+    ``engine_stage_seconds`` times the host's Python, so only its label
+    series and counts are deterministic; every other value is pinned
+    exactly.
+    """
+    from repro.fleet import AutoscalerPolicy, FleetServer, FleetSpec
+    from repro.obs import MetricsRegistry, Sink
+    from repro.query import Eventually, QuerySpec, TrackPersisted
+
+    class ListSink(Sink):
+        def __init__(self):
+            self.records = []
+
+        def emit(self, record):
+            self.records.append(record)
+
+    def observed(run):
+        sink, registry = ListSink(), MetricsRegistry()
+        run(registry, sink)
+        snapshot = registry.snapshot()
+        stage = snapshot.get("engine_stage_seconds")
+        if stage is not None:
+            stage["series"] = [
+                {"labels": s["labels"], "count": s["count"]} for s in stage["series"]
+            ]
+        return json.loads(
+            json.dumps({"records": sink.records, "metrics": snapshot})
+        )
+
+    query = QuerySpec("persist", Eventually(TrackPersisted(3)))
+    load = LoadSpec(
+        pattern="bursty", num_streams=4, rate_hz=12.0, frames_per_stream=12, seed=5
+    )
+    policy = ServePolicy(
+        max_batch_size=4, max_wait_ms=10.0, queue_capacity=4, slo_ms=500.0
+    )
+    requests = generate_load(load, dataset)
+    fleet_spec = FleetSpec(
+        system=CATDET,
+        load=load,
+        policy=policy,
+        replicas=2,
+        devices=("edge",),
+        autoscaler=AutoscalerPolicy(
+            min_replicas=1, max_replicas=3, interval_s=0.25, cooldown_s=0.5,
+            slo_p99_ms=300.0, scale_out_wait_share=0.2, scale_in_occupancy=0.5,
+        ),
+        query=query,
+    )
+    return {
+        "server": observed(
+            lambda registry, sink: DetectionServer(
+                CATDET, policy=policy, device="edge", metrics=registry,
+                sinks=sink, query=query,
+            ).run(requests)
+        ),
+        "fleet": observed(
+            lambda registry, sink: FleetServer(
+                fleet_spec, metrics=registry, sinks=sink
+            ).run(requests)
+        ),
+    }
+
+
+class TestGoldenObservables:
+    """Everything a served run shows the outside world — its ordered sink
+    record stream and its registry — pinned for the bare server and for
+    an autoscaled fleet."""
+
+    @pytest.fixture(scope="class")
+    def golden(self, kitti_small):
+        return _golden_runs(kitti_small)
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(GOLDEN_PATH.read_text())
+
+    @pytest.mark.parametrize("front", ["server", "fleet"])
+    def test_sink_records_match_pinned(self, golden, pinned, front):
+        kinds = {r["record"] for r in golden[front]["records"]}
+        assert "query.window" in kinds
+        assert golden[front]["records"] == pinned[front]["records"]
+
+    @pytest.mark.parametrize("front", ["server", "fleet"])
+    def test_registry_snapshot_matches_pinned(self, golden, pinned, front):
+        drops = golden[front]["metrics"].get(
+            "serve_drops_total" if front == "server" else "fleet_drops_total"
+        )
+        assert drops["series"]  # the schedule really sheds
+        assert golden[front]["metrics"] == pinned[front]["metrics"]

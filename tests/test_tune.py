@@ -254,6 +254,32 @@ class TestParallelSweep:
         assert session.cache_hits == hits_before + len(unique)
         assert again.best.report.to_dict() == first.best.report.to_dict()
 
+    def test_parallel_cold_sweep_counts_like_serial(self, tmp_path):
+        """Worker processes' cache and trace counters reach the parent: a
+        ``workers=2`` cold sweep leaves the session counting exactly what
+        the serial sweep counts."""
+
+        def counters(name, workers):
+            session = Session(cache_dir=tmp_path / name)
+            session.tune_serve(
+                _base_spec(),
+                slo_p99_ms=SLO_P99_MS,
+                batch_sizes=BATCH_GRID,
+                max_waits_ms=WAIT_GRID,
+                workers=workers,
+            )
+            return {
+                "cache_hits": session.cache_hits,
+                "cache_misses": session.cache_misses,
+                "trace_hits": session.trace_hits,
+                "trace_misses": session.trace_misses,
+                "frames_replayed": session.frames_replayed,
+            }
+
+        serial = counters("serial", None)
+        assert serial["trace_hits"] > 0 and serial["frames_replayed"] > 0
+        assert counters("parallel", 2) == serial
+
 
 class TestQueueWaitBound:
     def test_wait_bound_tightens_feasibility(self, tuned):
