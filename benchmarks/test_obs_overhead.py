@@ -4,7 +4,8 @@ The engine's per-stage timing and frame counters are opt-in
 (:meth:`~repro.engine.stages.StagePipeline.instrument`), and the
 acceptance bar for the observability layer is that opting in costs less
 than 3% of throughput.  :func:`repro.bench.bench_obs_overhead` measures
-plain and instrumented runs interleaved, best-of-repeats, so the gated
+many plain/instrumented pairs on one warmed-up build, alternating which
+side runs first, and reports the median per-pair ratio, so the gated
 ratio is robust to scheduler noise on shared CI runners.
 """
 

@@ -1,18 +1,21 @@
-"""Content-addressed on-disk cache of experiment results.
+"""Content-addressed on-disk stores: one layout, one writer, one reader.
 
-Entries are keyed by a spec fingerprint (see
+:class:`ContentStore` backs every cached artifact — experiment results
+(:class:`ResultCache`), serve and fleet reports, compute traces and
+cluster sequence results — each kind a thin subclass declaring its
+``format`` tag, payload key and codec.  All kinds share one root, so
+``repro cache stats/ls/prune`` manage every entry (keys are sha256
+content addresses; kinds never collide).  Layout:
+``<root>/<fp[:2]>/<fp>.json``.  Writes are atomic
+(:func:`atomic_write_json`), so concurrent writers at worst duplicate
+work; an unreadable, corrupt or foreign-format entry reads as a miss
+and is recomputed and overwritten.
+
+Experiment results are keyed by a spec fingerprint (see
 :attr:`repro.api.spec.ExperimentSpec.fingerprint`) or, for ad-hoc
-datasets, by a combined (config, dataset content, eval) digest from
-:func:`experiment_key`.  Payloads are the lossless
-``repro-experiment-full/1`` JSON of :mod:`repro.harness.io`, so a cache
-hit returns a result bit-identical to the original computation —
-boxes, scores, labels and op accounts included.
-
-Layout: ``<root>/<fp[:2]>/<fp>.json`` (two-level sharding keeps any one
-directory small on big sweeps).  Writes are atomic (tmp file + rename),
-so concurrent sessions sharing a cache directory at worst duplicate
-work, never corrupt entries; corrupt or truncated files are treated as
-misses and rewritten.
+datasets, by :func:`experiment_key`.  Their payloads are the lossless
+``repro-experiment-full/1`` JSON of :mod:`repro.harness.io`, so a hit
+is bit-identical to the original computation.
 """
 
 from __future__ import annotations
@@ -21,16 +24,42 @@ import hashlib
 import json
 import os
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.core.config import SystemConfig, config_to_dict
+from repro.core.config import SystemConfig, config_from_dict, config_to_dict
+from repro.harness.io import experiment_from_dict, experiment_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import EvalSpec
     from repro.datasets.types import Dataset
     from repro.harness.experiment import ExperimentResult
+
+#: What a stored entry may fail with on the way back in; each one is a miss.
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError)
+
+
+def atomic_write_json(path: Union[str, Path], payload: Any) -> Path:
+    """Write ``payload`` as JSON to ``path`` atomically; returns ``path``.
+
+    The payload goes to a sibling tmp file first and is renamed over
+    ``path`` in one step, so readers see the old document or the new
+    one, never half of either.  The tmp name carries the pid *and* a
+    random suffix: threads of one process (a coordinator and in-process
+    workers) never share a tmp file.
+    """
+    path = Path(path)
+    tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex[:6]}")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, allow_nan=True)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def fingerprint_dataset(dataset: "Dataset") -> str:
@@ -72,7 +101,7 @@ def experiment_key(
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One stored result: its key plus on-disk accounting."""
+    """One stored entry: its key plus on-disk accounting."""
 
     fingerprint: str
     path: Path
@@ -81,82 +110,71 @@ class CacheEntry:
     label: Optional[str] = None
 
 
-class ResultCache:
-    """Content-addressed store of serialized :class:`ExperimentResult`\\ s."""
+class ContentStore:
+    """Content-addressed JSON store under ``root`` (see the module docs).
+
+    An entry is ``{"format": format_tag, "fingerprint": fp, ["spec":
+    spec,] payload_key: encode(value)}``.  Accounting (``len``,
+    :meth:`entries`, :meth:`stats`, :meth:`prune`, :meth:`clear`) spans
+    every entry under ``root``, whatever its kind.
+    """
+
+    #: Outer ``format`` tag written into, and required of, every entry.
+    format_tag: str = ""
+    #: Key of the encoded value inside an entry.
+    payload_key: str = ""
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
+
+    def encode(self, value: Any) -> Any:
+        raise NotImplementedError
+
+    def decode(self, data: Any) -> Any:
+        raise NotImplementedError
 
     def path_for(self, fingerprint: str) -> Path:
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
 
-    def load(self, fingerprint: str) -> Optional["ExperimentResult"]:
-        """The cached result for ``fingerprint``, or ``None`` on a miss.
-
-        Unreadable entries (corrupt JSON, foreign formats) count as
-        misses: the caller recomputes and overwrites them.
-        """
-        from repro.harness.io import experiment_from_dict
-
-        path = self.path_for(fingerprint)
+    def load(self, fingerprint: str) -> Any:
+        """The stored value for ``fingerprint``, or ``None`` on a miss."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            result = experiment_from_dict(payload["result"])
-        except FileNotFoundError:
-            self.misses += 1
+            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
+                entry = json.load(fh)
+            if entry.get("format") != self.format_tag:
+                return None
+            return self.decode(entry[self.payload_key])
+        except _READ_ERRORS:
             return None
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
 
     def store(
-        self,
-        fingerprint: str,
-        result: "ExperimentResult",
-        *,
-        spec: Optional[Dict[str, Any]] = None,
+        self, fingerprint: str, value: Any, *, spec: Optional[Dict[str, Any]] = None
     ) -> Path:
-        """Atomically write ``result`` under ``fingerprint``.
+        """Atomically write ``value`` under ``fingerprint``; returns the file.
 
         ``spec`` (a plain dict, e.g. ``ExperimentSpec.to_dict()``) is
         stored alongside for human inspection of what produced the entry.
         """
-        from repro.harness.io import experiment_to_dict
-
-        payload: Dict[str, Any] = {
-            "format": "repro-result-cache/1",
-            "fingerprint": fingerprint,
-            "spec": spec,
-            "result": experiment_to_dict(result),
-        }
+        entry: Dict[str, Any] = {"format": self.format_tag, "fingerprint": fingerprint}
+        if spec is not None:
+            entry["spec"] = spec
+        entry[self.payload_key] = self.encode(value)
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, allow_nan=True)
-        os.replace(tmp, path)
-        return path
+        return atomic_write_json(path, entry)
 
     def __contains__(self, fingerprint: str) -> bool:
         return self.path_for(fingerprint).exists()
 
     def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
         return sum(1 for _ in self.root.glob("*/*.json"))
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
         removed = 0
-        if self.root.exists():
-            for entry in self.root.glob("*/*.json"):
-                entry.unlink()
-                removed += 1
+        for entry in self.root.glob("*/*.json"):
+            entry.unlink()
+            removed += 1
         return removed
 
     def entries(self, *, with_labels: bool = False) -> List[CacheEntry]:
@@ -166,23 +184,18 @@ class ResultCache:
         spec's human label (slower — it reads every payload).
         """
         out: List[CacheEntry] = []
-        if not self.root.exists():
-            return out
         for path in self.root.glob("*/*.json"):
             try:
                 stat = path.stat()
             except OSError:
                 continue  # pruned/overwritten concurrently
-            label = None
-            if with_labels:
-                label = self._entry_label(path)
             out.append(
                 CacheEntry(
                     fingerprint=path.stem,
                     path=path,
                     size_bytes=stat.st_size,
                     mtime=stat.st_mtime,
-                    label=label,
+                    label=self._entry_label(path) if with_labels else None,
                 )
             )
         out.sort(key=lambda e: e.mtime, reverse=True)
@@ -190,20 +203,7 @@ class ResultCache:
 
     @staticmethod
     def _entry_label(path: Path) -> Optional[str]:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            spec = payload.get("spec") or {}
-            system = spec.get("system") or payload.get("result", {}).get("config")
-            if system is None:
-                return None
-            from repro.core.config import config_from_dict
-
-            label = config_from_dict(system).label
-            family = (spec.get("dataset") or {}).get("family")
-            return f"{label} @ {family}" if family else label
-        except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError):
-            return None
+        return None
 
     def stats(self) -> Dict[str, Any]:
         """Aggregate accounting: entry count, bytes, oldest/newest age."""
@@ -242,3 +242,44 @@ class ResultCache:
                     except OSError:
                         pass
         return removed
+
+
+class ResultCache(ContentStore):
+    """Store of :class:`ExperimentResult`\\ s; counts ``hits``/``misses``."""
+
+    format_tag = "repro-result-cache/1"
+    payload_key = "result"
+    encode = staticmethod(experiment_to_dict)
+    decode = staticmethod(experiment_from_dict)
+
+    def __init__(self, root: Union[str, Path]):
+        super().__init__(root)
+        self.hits = 0
+        self.misses = 0
+
+    def load(self, fingerprint: str) -> Optional["ExperimentResult"]:
+        result = ContentStore.load(self, fingerprint)
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
+
+    # Bound in this class's own body, not inherited: method-level tracers
+    # (perfbench/layers.py) wrap through ``cls.__dict__``.
+    store = ContentStore.store
+
+    @staticmethod
+    def _entry_label(path: Path) -> Optional[str]:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            spec = payload.get("spec") or {}
+            system = spec.get("system") or payload.get("result", {}).get("config")
+            if system is None:
+                return None
+            label = config_from_dict(system).label
+            family = (spec.get("dataset") or {}).get("family")
+            return f"{label} @ {family}" if family else label
+        except _READ_ERRORS:
+            return None

@@ -248,7 +248,7 @@ class Session:
         Serving is a deterministic discrete-event simulation, so the
         throughput/latency :class:`~repro.serve.server.ServeReport` is a
         pure function of the spec — revisited serving configurations load
-        from the cache's ``serve/`` store instead of re-simulating.
+        from the cache instead of re-simulating.
         Cached reports carry the statistics only; per-frame detections
         (`report.frame_results`) are available on fresh runs.
 

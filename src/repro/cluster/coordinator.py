@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence as Seq, Union
 
 from repro.cluster import protocol
 from repro.cluster.queue import FileWorkQueue
-from repro.cluster.worker import SEQ_CACHE_SUBDIR, default_cache_dir
+from repro.cluster.worker import default_cache_dir
 from repro.core.results import SequenceResult
 from repro.datasets.types import Sequence
 
@@ -281,7 +281,7 @@ class MultiHostExecutor:
         if not sequences:
             return []
         store = (
-            protocol.SequenceResultStore(Path(self.cache_dir) / SEQ_CACHE_SUBDIR)
+            protocol.SequenceResultStore(self.cache_dir)
             if self.cache_dir is not None
             else None
         )

@@ -13,8 +13,8 @@ Two shard granularities travel through the work queue
   index`` — tiny, rebuilt deterministically on the worker) or *inline*
   (the full ground-truth track set, for ad-hoc datasets the worker cannot
   reconstruct).  Finished :class:`~repro.core.results.SequenceResult`
-  payloads are content-addressed in a :class:`SequenceResultStore` under
-  the same cache root.
+  payloads are content-addressed in a :class:`SequenceResultStore` (a
+  :class:`~repro.api.cache.ContentStore`) in the same cache root.
 
 Both envelope kinds serialize the system via
 :func:`~repro.core.config.config_to_dict`, so every config field —
@@ -35,15 +35,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.api.cache import ContentStore
 from repro.core.config import SystemConfig, config_from_dict, config_to_dict
 from repro.core.results import SequenceResult
 from repro.datasets.types import ObjectTrack, Sequence
+from repro.harness.io import sequence_result_from_dict, sequence_result_to_dict
 
 TASK_FORMAT = "repro-cluster-task/1"
 RESULT_FORMAT = "repro-cluster-result/1"
@@ -254,50 +254,10 @@ def result_envelope(
     }
 
 
-class SequenceResultStore:
-    """Content-addressed store of serialized :class:`SequenceResult`\\ s.
+class SequenceResultStore(ContentStore):
+    """:class:`~repro.api.cache.ContentStore` of :class:`SequenceResult`\\ s."""
 
-    The sequence-granularity sibling of
-    :class:`~repro.api.cache.ResultCache`, sharing its two-level
-    ``<root>/<fp[:2]>/<fp>.json`` layout and atomic-write/corrupt-is-a-miss
-    semantics.  Lives under ``<cache root>/seq/`` so one shared directory
-    serves both granularities.
-    """
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
-    def load(self, fingerprint: str) -> Optional[SequenceResult]:
-        from repro.harness.io import sequence_result_from_dict
-
-        try:
-            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return sequence_result_from_dict(payload["result"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
-            return None
-
-    def store(self, fingerprint: str, result: SequenceResult) -> Path:
-        from repro.harness.io import sequence_result_to_dict
-
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "format": "repro-seqresult-cache/1",
-                    "fingerprint": fingerprint,
-                    "result": sequence_result_to_dict(result),
-                },
-                fh,
-                allow_nan=True,
-            )
-        os.replace(tmp, path)
-        return path
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path_for(fingerprint).exists()
+    format_tag = "repro-seqresult-cache/1"
+    payload_key = "result"
+    encode = staticmethod(sequence_result_to_dict)
+    decode = staticmethod(sequence_result_from_dict)

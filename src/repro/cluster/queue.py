@@ -45,6 +45,7 @@ import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.api.cache import atomic_write_json
 from repro.cluster.protocol import validate_task
 from repro.obs.registry import MetricsRegistry, resolve_registry
 
@@ -290,12 +291,7 @@ class FileWorkQueue:
     # Internals
     # ----------------------------------------------------------------- #
 
-    def _write_json(self, path: Path, payload: Dict[str, Any]) -> Path:
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex[:6]}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, allow_nan=True)
-        os.replace(tmp, path)
-        return path
+    _write_json = staticmethod(atomic_write_json)
 
     def _requeue(
         self,

@@ -15,8 +15,9 @@ attempt budget decide when it becomes a dead letter.
 
 Cache routing: experiment tasks run through a
 :class:`~repro.api.Session` on the shared cache, sequence tasks through
-a :class:`~repro.cluster.protocol.SequenceResultStore` under the same
-root — so any fingerprint any host has computed is served, not re-run.
+a :class:`~repro.cluster.protocol.SequenceResultStore` in the same
+:class:`~repro.api.cache.ContentStore` root — so any fingerprint any
+host has computed is served, not re-run.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ from repro.obs.registry import (
 )
 from repro.obs.sinks import Sink, as_sinks
 
-#: Cache subdirectories under a shared queue root (kept separate from the
+#: Cache subdirectory under a shared queue root (kept separate from the
 #: queue's own state dirs).
 CACHE_SUBDIR = "cache"
-SEQ_CACHE_SUBDIR = "seq"
 
 #: Most recent structured lease-lost events kept on the worker (and
 #: published in its health snapshot).
@@ -101,11 +101,7 @@ def execute_task(
         from repro.core.config import build_system
         from repro.harness.io import sequence_result_to_dict
 
-        store = (
-            SequenceResultStore(Path(cache_dir) / SEQ_CACHE_SUBDIR)
-            if cache_dir is not None
-            else None
-        )
+        store = SequenceResultStore(cache_dir) if cache_dir is not None else None
         cached = True
         result = store.load(fingerprint) if store is not None else None
         if result is None:

@@ -25,19 +25,17 @@ shedding, cost.
 
 A :class:`FleetReport` is therefore a pure function of its
 :class:`~repro.fleet.spec.FleetSpec`, cached content-addressed by
-:class:`FleetReportStore` exactly like serve reports.
+:class:`FleetReportStore`, a :class:`~repro.api.cache.ContentStore`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence as SequenceType, Union
 
+from repro.api.cache import ContentStore
 from repro.core.results import FrameResult, FrameResultBuffer
 from repro.core.systems import DetectionSystem
 from repro.core.config import build_system
@@ -858,52 +856,15 @@ class FleetServer:
         return report
 
 
-class FleetReportStore:
-    """Content-addressed store of serialized :class:`FleetReport`\\ s.
+class FleetReportStore(ContentStore):
+    """:class:`~repro.api.cache.ContentStore` of :class:`FleetReport`\\ s."""
 
-    Same two-level layout, atomic writes and corrupt-entry-is-a-miss
-    semantics as :class:`~repro.serve.server.ServeReportStore`, sharing
-    the session cache root so ``repro cache stats/ls/prune`` manage
-    fleet reports alongside everything else.
-    """
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
-    def load(self, fingerprint: str) -> Optional[FleetReport]:
-        try:
-            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return FleetReport.from_dict(payload["report"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
-            return None
-
-    def store(
-        self,
-        fingerprint: str,
-        report: FleetReport,
-        *,
-        spec: Optional[Dict[str, Any]] = None,
-    ) -> Path:
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "format": "repro-fleet-cache/1",
-                    "fingerprint": fingerprint,
-                    "spec": spec,
-                    "report": report.to_dict(),
-                },
-                fh,
-                allow_nan=True,
-            )
-        os.replace(tmp, path)
-        return path
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path_for(fingerprint).exists()
+    format_tag = "repro-fleet-cache/1"
+    payload_key = "report"
+    encode = staticmethod(FleetReport.to_dict)
+    decode = staticmethod(FleetReport.from_dict)
+    # Bound in this class's own body, not inherited: method-level tracers
+    # (perfbench/layers.py) wrap through ``cls.__dict__``.
+    load = ContentStore.load
+    store = ContentStore.store
+    __contains__ = ContentStore.__contains__

@@ -2,7 +2,8 @@
 
 Workers and servers periodically write one small JSON file each into a
 ``health/`` directory next to the queue (or wherever the operator
-points them).  Each write is atomic (tmp + ``os.replace``), so readers
+points them).  Each write is atomic
+(:func:`repro.api.cache.atomic_write_json`), so readers
 — ``repro status``, a watchdog, another host on the shared filesystem —
 always see a complete document, and the *file mtime* doubles as the
 liveness signal: a component that stops refreshing goes stale without
@@ -100,12 +101,12 @@ class HealthReporter:
             record.update(self.extra)
         if self.registry is not None:
             record["metrics"] = self.registry.snapshot()
+        # Imported here: obs stays a leaf package at import time.
+        from repro.api.cache import atomic_write_json
+
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(record, fh)
-            os.replace(tmp, self.path)
+            atomic_write_json(self.path, record)
         except OSError:
             return False
         self._last_write = now

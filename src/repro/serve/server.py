@@ -26,12 +26,10 @@ sample by ``(model, seed, sequence, frame)``, never by batch.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence as SequenceType, Union
 
+from repro.api.cache import ContentStore
 from repro.core.config import SystemConfig, build_system
 from repro.core.results import FrameResult
 from repro.core.systems import DetectionSystem
@@ -361,54 +359,15 @@ class DetectionServer(FleetServer):
         )
 
 
-class ServeReportStore:
-    """Content-addressed store of serialized :class:`ServeReport`\\ s.
+class ServeReportStore(ContentStore):
+    """:class:`~repro.api.cache.ContentStore` of :class:`ServeReport`\\ s."""
 
-    The serving sibling of :class:`~repro.api.cache.ResultCache`, sharing
-    its two-level ``<root>/<fp[:2]>/<fp>.json`` layout and atomic-write /
-    corrupt-entry-is-a-miss semantics — in the *same* root, so ``repro
-    cache stats/ls/prune`` manage serving reports alongside experiment
-    results (fingerprints are sha256 content addresses; the two entry
-    kinds cannot collide).
-    """
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
-    def load(self, fingerprint: str) -> Optional[ServeReport]:
-        try:
-            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return ServeReport.from_dict(payload["report"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
-            return None
-
-    def store(
-        self,
-        fingerprint: str,
-        report: ServeReport,
-        *,
-        spec: Optional[Dict[str, Any]] = None,
-    ) -> Path:
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "format": "repro-serve-cache/1",
-                    "fingerprint": fingerprint,
-                    "spec": spec,
-                    "report": report.to_dict(),
-                },
-                fh,
-                allow_nan=True,
-            )
-        os.replace(tmp, path)
-        return path
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path_for(fingerprint).exists()
+    format_tag = "repro-serve-cache/1"
+    payload_key = "report"
+    encode = staticmethod(ServeReport.to_dict)
+    decode = staticmethod(ServeReport.from_dict)
+    # Bound in this class's own body, not inherited: method-level tracers
+    # (perfbench/layers.py) wrap through ``cls.__dict__``.
+    load = ContentStore.load
+    store = ContentStore.store
+    __contains__ = ContentStore.__contains__

@@ -12,9 +12,8 @@ knobs a tuning sweep actually varies.
 :class:`ComputeTrace` captures the compute phase once: per stream, the
 ordered admitted-frame prefix with each frame's lossless
 :class:`~repro.core.results.FrameResult` and its detector-invocation
-cost.  :class:`TraceStore` content-addresses traces in the same
-two-level cache layout as :class:`~repro.api.cache.ResultCache` (atomic
-writes, corrupt-entry-is-a-miss), keyed by
+cost.  :class:`TraceStore` content-addresses traces in the shared
+:class:`~repro.api.cache.ContentStore` root, keyed by
 :func:`trace_fingerprint` — a digest of the system/dataset/load
 sections *only*, so every policy/service/query/replica variation of one
 deployment shares a single trace, and serve and fleet runs share it
@@ -36,10 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
+from repro.api.cache import ContentStore
 from repro.core.config import config_to_dict
 from repro.core.results import FrameResult
 from repro.engine.stages import run_frame_batch
@@ -159,50 +157,22 @@ class ComputeTrace:
         )
 
 
-class TraceStore:
-    """Content-addressed on-disk store of :class:`ComputeTrace`\\ s.
+class TraceStore(ContentStore):
+    """:class:`~repro.api.cache.ContentStore` of :class:`ComputeTrace`\\ s.
 
-    Shares the result cache's ``<root>/<fp[:2]>/<fp>.json`` layout and
-    atomic-write / corrupt-entry-is-a-miss semantics, in the same root —
-    sweep workers sharing a cache directory can therefore share traces
-    without coordination (a concurrent overwrite at worst loses a few
-    replayable frames until the next long run re-records them; it never
-    corrupts an entry or changes any report).
+    Sweep workers sharing a cache root share traces without coordination:
+    a concurrent overwrite at worst loses a few replayable frames until a
+    longer run re-records them, never an entry or a report byte.
     """
 
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
-    def load(self, fingerprint: str) -> Optional[ComputeTrace]:
-        try:
-            with open(self.path_for(fingerprint), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return ComputeTrace.from_dict(payload["trace"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
-            return None
-
-    def store(self, fingerprint: str, trace: ComputeTrace) -> Path:
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "format": "repro-trace-cache/1",
-                    "fingerprint": fingerprint,
-                    "trace": trace.to_dict(),
-                },
-                fh,
-                allow_nan=True,
-            )
-        os.replace(tmp, path)
-        return path
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path_for(fingerprint).exists()
+    format_tag = "repro-trace-cache/1"
+    payload_key = "trace"
+    encode = staticmethod(ComputeTrace.to_dict)
+    decode = staticmethod(ComputeTrace.from_dict)
+    # Bound in this class's own body, not inherited: method-level tracers
+    # (perfbench/layers.py) wrap through ``cls.__dict__``.
+    load = ContentStore.load
+    store = ContentStore.store
 
 
 class _Cursor:

@@ -69,16 +69,20 @@ def parallel_map(
                 on_progress(i + 1, total, names[i])
         return out
 
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     pool = ProcessPoolExecutor(max_workers=workers)
+    interrupted = False
     try:
         futures = [pool.submit(fn, item) for item in items]
         index = {f: i for i, f in enumerate(futures)}
         pending = set(futures)
         done_count = 0
         while pending:
-            finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
+            # Not FIRST_EXCEPTION: with no failure it returns only once
+            # everything finished, holding back progress (and a Ctrl-C
+            # raised from on_progress) until the straggler is done.
+            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
                 exc = future.exception()
                 if exc is not None:
@@ -90,7 +94,9 @@ def parallel_map(
                     on_progress(done_count, total, names[index[future]])
         return [f.result() for f in futures]
     except KeyboardInterrupt:
+        interrupted = True
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        if not interrupted:
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -324,11 +324,18 @@ class TestFaultTolerance:
             proc.wait(timeout=10)
             # Age the dead worker's lease past its TTL so the coordinator's
             # straggler sweep re-leases it instead of waiting out real time.
+            # Only the dead worker's: an aged healthy lease would be re-run,
+            # and the healthy worker's task budget would run out early.
             deadline = time.time() + 30
             while time.time() < deadline and "run" not in done:
                 for lease_path in queue.lease_dir.glob("*.json"):
-                    stat = lease_path.stat()
-                    os.utime(lease_path, (stat.st_atime, stat.st_mtime - 6))
+                    try:
+                        if json.loads(lease_path.read_text()).get("worker") != "stuck":
+                            continue
+                        stat = lease_path.stat()
+                        os.utime(lease_path, (stat.st_atime, stat.st_mtime - 6))
+                    except FileNotFoundError:
+                        continue  # completed or requeued since the glob
                 time.sleep(0.05)
             coordinator.join(timeout=60)
             healthy.join(timeout=60)
@@ -493,6 +500,24 @@ class TestExecutorParity:
                 executor = EXECUTORS.get(kind)(2)
             run = run_on_dataset(CONFIG, dataset, executor=executor)
             assert run_to_dict(run) == baseline, f"{kind} diverged from serial"
+
+
+class TestSharedCacheRoot:
+    def test_cache_prune_reaches_cluster_sequence_results(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        dataset = Session().dataset(DATASET)
+        queue = FileWorkQueue(tmp_path / "q")
+        worker = background_worker(queue, max_tasks=len(dataset.sequences))
+        executor = MultiHostExecutor(tmp_path / "q", poll_interval=0.05, timeout=120)
+        run_on_dataset(CONFIG, dataset, executor=executor)
+        worker.join(timeout=60)
+        cache_root = tmp_path / "q" / "cache"
+        assert len(list(cache_root.rglob("*.json"))) == len(dataset.sequences)
+        assert main(["cache", "prune", "--older-than", "0s",
+                     "--cache-dir", str(cache_root)]) == 0
+        assert f"pruned {len(dataset.sequences)} entries" in capsys.readouterr().out
+        assert not list(cache_root.rglob("*.json"))
 
 
 class FailingSystem:

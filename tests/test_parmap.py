@@ -1,5 +1,8 @@
 """Deterministic process-pool map tests (:mod:`repro.utils.parmap`)."""
 
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.engine.scheduler import effective_cpu_count
@@ -14,6 +17,22 @@ def _maybe_fail(x):
     if x == 3:
         raise RuntimeError("boom at 3")
     return x
+
+
+def _straggle(item):
+    """``("fast", _)`` returns at once; ``("slow", dir)`` marks start, sleeps, marks end."""
+    kind, directory = item
+    if kind == "slow":
+        (Path(directory) / "started").touch()
+        time.sleep(3.0)
+        (Path(directory) / "finished").touch()
+    return kind
+
+
+def _wait_for(path, seconds=60.0):
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 class TestResolveWorkers:
@@ -80,3 +99,22 @@ class TestParallelMap:
     def test_serial_exception_propagates(self):
         with pytest.raises(RuntimeError, match="boom at 3"):
             parallel_map(_maybe_fail, list(range(6)))
+
+    def test_interrupt_abandons_stragglers_without_waiting(self, tmp_path):
+        def interrupt(done, total, label):
+            _wait_for(tmp_path / "started")  # the straggler is in flight
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            parallel_map(
+                _straggle,
+                [("fast", str(tmp_path)), ("slow", str(tmp_path))],
+                workers=2,
+                on_progress=interrupt,
+            )
+        assert (tmp_path / "started").exists()
+        assert not (tmp_path / "finished").exists(), (
+            "parallel_map waited for the straggler after Ctrl-C"
+        )
+        # Let the abandoned straggler finish so it does not outlive the test.
+        _wait_for(tmp_path / "finished")
