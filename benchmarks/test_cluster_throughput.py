@@ -5,11 +5,14 @@ is embarrassingly parallel across workers, so doubling the fleet should
 cut wall-clock time — subprocess start-up, queue polling, envelope
 serialization and reassembly included.  Each trial uses a fresh queue
 directory and cache-less workers so nothing is served from a previous
-trial's store.  On a single-core machine there is nothing to win and
-the comparison is skipped.
+trial's store.  The gate is the median of per-pair speedups (1-worker
+time over 2-worker time), with the fleet size that runs first
+alternating pair to pair.  On a single-core machine there is nothing to
+win and the comparison is skipped.
 """
 
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -23,6 +26,9 @@ from repro.core.pipeline import run_on_dataset
 from repro.engine.scheduler import effective_cpu_count
 
 CONFIG = SystemConfig("catdet", "resnet50", "resnet10a")
+
+#: One-worker/two-worker fleet pairs timed by the speedup gate.
+PAIRS = 4
 
 
 def _spawn_workers(queue_dir, count):
@@ -70,18 +76,27 @@ def test_two_workers_beat_one(tmp_path, kitti_dataset):
     # Warm module state (imports, zoo, dataset) out of the comparison.
     run_on_dataset(CONFIG, kitti_dataset, max_sequences=1)
 
-    # Wall-clock comparisons on shared CI runners are noisy; allow one
-    # re-measure before declaring the two-worker fleet a loss.
-    for attempt in range(2):
-        single, single_time = _timed_fleet_run(tmp_path, kitti_dataset, workers=1)
-        double, double_time = _timed_fleet_run(tmp_path, kitti_dataset, workers=2)
+    # Wall-clock comparisons on shared CI runners are noisy: time PAIRS
+    # one-/two-worker pairs, alternating which fleet size runs first, and
+    # gate the median per-pair speedup, which one descheduled run cannot
+    # move.
+    ratios = []
+    for pair in range(PAIRS):
+        sizes = (1, 2) if pair % 2 == 0 else (2, 1)
+        timed = {
+            workers: _timed_fleet_run(tmp_path, kitti_dataset, workers=workers)
+            for workers in sizes
+        }
+        (single, single_time), (double, double_time) = timed[1], timed[2]
         # Same answer at any fleet size...
         assert set(single.sequences) == set(double.sequences)
         assert single.mean_ops_gops() == double.mean_ops_gops()
-        # ...and faster with two workers draining the queue.
-        if double_time < single_time:
-            return
-    pytest.fail(
-        f"2-worker fleet took {double_time:.2f}s vs {single_time:.2f}s "
-        f"single-worker on {KITTI_SEQUENCES}x{KITTI_FRAMES}-frame KITTI"
+        ratios.append(single_time / double_time)
+    # ...and faster with two workers draining the queue.
+    speedup = statistics.median(ratios)
+    print(f"\n2-worker fleet speedup: {speedup:.2f}x (median of {PAIRS} pairs)")
+    assert speedup > 1.0, (
+        f"2-worker fleet median speedup {speedup:.2f}x over {PAIRS} pairs "
+        f"({', '.join(f'{r:.2f}' for r in ratios)}) on "
+        f"{KITTI_SEQUENCES}x{KITTI_FRAMES}-frame KITTI"
     )

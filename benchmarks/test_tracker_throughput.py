@@ -12,6 +12,9 @@ import pytest
 from repro.detections import Detections
 from repro.tracker.catdet_tracker import CaTDetTracker, TrackerConfig
 
+#: Batched/scalar pairs timed by the speedup gate.
+PAIRS = 10
+
 
 def _synthetic_frames(num_frames=100, objects=12, seed=0):
     """Pre-generated detections: `objects` smoothly moving boxes per frame."""
@@ -56,8 +59,11 @@ def test_batched_tracker_beats_scalar_loop():
     per-object scalar loop's throughput at >= 50 concurrent tracks.
 
     Both sides run in this process on the same frames, so the ratio is
-    machine-independent (unlike raw fps).  Skipped on single-CPU runners,
-    where background noise makes the ratio unstable.
+    machine-independent (unlike raw fps).  After one unmeasured warm-up
+    of each side, it times ``PAIRS`` batched/scalar pairs, alternating
+    which side runs first, and gates the median per-pair ratio, which a
+    pair descheduled by a noisy neighbour cannot move.  Skipped on
+    single-CPU runners, where background noise makes the ratio unstable.
     """
     from repro.engine.scheduler import effective_cpu_count
     from repro.tracker.reference import ScalarCaTDetTracker
@@ -65,25 +71,32 @@ def test_batched_tracker_beats_scalar_loop():
     if effective_cpu_count() < 2:
         pytest.skip("ratio too noisy on a single-CPU runner")
 
+    import statistics
     import time
 
     frames = _synthetic_frames(num_frames=40, objects=60, seed=0)
 
-    def best_seconds(tracker_cls, repeats=3):
-        best = float("inf")
-        for _ in range(repeats):
-            tracker = tracker_cls(TrackerConfig(), image_size=(2100, 2100))
-            start = time.perf_counter()
-            for dets in frames:
-                tracker.predict()
-                tracker.update(dets)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def seconds(tracker_cls):
+        tracker = tracker_cls(TrackerConfig(), image_size=(2100, 2100))
+        start = time.perf_counter()
+        for dets in frames:
+            tracker.predict()
+            tracker.update(dets)
+        return time.perf_counter() - start
 
-    vec = best_seconds(CaTDetTracker)
-    ref = best_seconds(ScalarCaTDetTracker)
-    speedup = ref / vec
-    print(f"\nbatched vs scalar tracker: {speedup:.2f}x at 60 tracks")
+    sides = (CaTDetTracker, ScalarCaTDetTracker)
+    for tracker_cls in sides:
+        seconds(tracker_cls)  # warm-up, outside the pairs
+    ratios = []
+    for pair in range(PAIRS):
+        order = sides if pair % 2 == 0 else sides[::-1]
+        timed = {tracker_cls: seconds(tracker_cls) for tracker_cls in order}
+        ratios.append(timed[ScalarCaTDetTracker] / timed[CaTDetTracker])
+    speedup = statistics.median(ratios)
+    print(
+        f"\nbatched vs scalar tracker: {speedup:.2f}x at 60 tracks "
+        f"(median of {PAIRS} pairs)"
+    )
     assert speedup >= 2.0
 
 

@@ -3,7 +3,7 @@
 One calibrated :class:`DeviceProfile` (the ``T = alpha * W + b``
 constants of paper Appendix I, plus CPU overheads) feeds one
 :class:`CostModel`, and every timing consumer in the repo derives from
-it: the legacy Table-7 estimators (:mod:`repro.gpu.timing`), the
+it: the Table-7 estimators (:mod:`repro.gpu.table7`), the
 engine's per-frame :class:`~repro.engine.stages.TimingAccountingStage`
 (``SystemConfig(device=...)``), and the serving simulator's
 :class:`~repro.serve.server.ServiceModel` (``ServeSpec(device=...)``).

@@ -7,7 +7,7 @@ crop".  The CPU side (data loading, NMS, tracker, framework wrapping) adds
 a per-frame constant and a per-launch term.  A :class:`DeviceProfile`
 captures exactly those calibrated constants for one device, and is the
 single source of truth every timing consumer in the repo derives from —
-the legacy :mod:`repro.gpu.timing` estimators, the engine's
+the Table-7 estimators of :mod:`repro.gpu.table7`, the engine's
 :class:`~repro.engine.stages.TimingAccountingStage`, and the serving
 simulator's :class:`~repro.serve.server.ServiceModel`.
 
@@ -17,8 +17,7 @@ Built-in profiles
     The Maxwell Titan X the paper measured on: ``alpha`` calibrated from
     the single-model operating point (254.3 Gops in 0.159 s of kernel
     time), the 400x400-crop launch overhead, and the measured CPU
-    overheads.  These constants previously lived in
-    ``repro/gpu/timing.py``; they are defined *only* here now.
+    overheads.
 ``"abstract"``
     A neutral accelerator reproducing the serving layer's historical
     defaults (2 ms per batched invocation, 2000 Gops/s sustained, no CPU
@@ -223,8 +222,7 @@ def get_device(device: Union[str, DeviceProfile]) -> DeviceProfile:
     return DEVICE_PROFILES.get(device)
 
 
-#: The paper's Maxwell Titan X (Appendix I / Table 7) — calibrated from
-#: the same constants ``repro/gpu/timing.py`` historically hardcoded.
+#: The paper's Maxwell Titan X (Appendix I / Table 7).
 TITANX = register_device(
     DeviceProfile(
         name="titanx",

@@ -8,18 +8,26 @@ seeded deterministically per sequence by construction: each one builds a
 fresh system from the same :class:`~repro.core.config.SystemConfig`
 (or from a pickled copy of the system), whose seed is part of the config.
 
+The process-parallel executors run on :func:`repro.utils.parmap.parallel_map`.
 ``run_on_dataset(..., workers=N)`` (see :mod:`repro.core.pipeline`) picks
 the executor via :func:`make_executor`.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
+import sys
+from collections import Counter
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple, Union
 
 from repro.core.results import SequenceResult
 from repro.datasets.types import Sequence
+from repro.utils.parmap import (  # effective_cpu_count: re-exported
+    ParallelMapError,
+    effective_cpu_count,
+    parallel_map,
+    resolve_workers,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import SystemConfig
@@ -65,12 +73,20 @@ def _count_mapped(executor: str, sequences: List[Sequence]) -> None:
     ).inc(sum(s.num_frames for s in sequences), labels=(executor,))
 
 
-def effective_cpu_count() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
+def _map_named(
+    fn: Callable[[Any], Any],
+    items: List[Any],
+    names: List[str],
+    workers: int,
+    on_progress: Optional[ProgressFn],
+) -> List[Any]:
+    """:func:`parallel_map`, raising :class:`SequenceExecutionError`."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+        return parallel_map(
+            fn, items, workers=workers, on_progress=on_progress, labels=names
+        )
+    except ParallelMapError as err:
+        raise SequenceExecutionError(err.label, err.__cause__) from err.__cause__
 
 
 def _is_config(target: SystemLike) -> bool:
@@ -79,19 +95,15 @@ def _is_config(target: SystemLike) -> bool:
     return isinstance(target, SystemConfig)
 
 
-def _run_sequence_from_config(config: "SystemConfig", sequence: Sequence) -> SequenceResult:
-    """Worker entry point: build the system fresh and process one sequence."""
-    from repro.core.config import build_system
+def _run_sequence(target: SystemLike, sequence: Sequence) -> SequenceResult:
+    """Worker entry point: one sequence on a fresh or freshly reset system."""
+    if _is_config(target):
+        from repro.core.config import build_system
 
-    return build_system(config).process_sequence(sequence)
-
-
-def _run_sequence_with_system(
-    system: "DetectionSystem", sequence: Sequence
-) -> SequenceResult:
-    """Worker entry point for a pickled system instance."""
-    system.reset()
-    return system.process_sequence(sequence)
+        target = build_system(target)
+    else:
+        target.reset()
+    return target.process_sequence(sequence)
 
 
 def config_is_frame_parallel(config: "SystemConfig") -> bool:
@@ -143,10 +155,10 @@ def run_frame_range(
 
 
 def _run_frame_range_from_config(
-    config: "SystemConfig", sequence: Sequence, start: int, stop: int
+    config: "SystemConfig", chunk: Tuple[Sequence, int, int]
 ) -> List["object"]:
-    """Worker entry point: one frame chunk, rebuilt from the config."""
-    return run_frame_range(config, sequence, start, stop).frames
+    """Worker entry point: one ``(sequence, start, stop)`` chunk."""
+    return run_frame_range(config, *chunk).frames
 
 
 def split_frame_ranges(
@@ -197,7 +209,7 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Fan sequences out to a pool of worker processes.
+    """Fan sequences out to worker processes through :func:`parallel_map`.
 
     Results come back in submission order, so a parallel run's
     :class:`~repro.core.results.SystemRunResult` is indistinguishable from
@@ -208,8 +220,8 @@ class ParallelExecutor:
     Parameters
     ----------
     workers:
-        Worker process count (must be >= 1; 1 still goes through the
-        pool, which is occasionally useful for isolation testing).
+        Worker process count (must be >= 1; 1 runs in-process, as
+        :func:`parallel_map` does).
     """
 
     def __init__(self, workers: int):
@@ -226,75 +238,36 @@ class ParallelExecutor:
     ) -> List[SequenceResult]:
         if not sequences:
             return []
-        if _is_config(target):
-            worker_fn = _run_sequence_from_config
-        else:
-            worker_fn = _run_sequence_with_system
+        if not _is_config(target):
             # Workers reset the system before use anyway; resetting here
             # avoids pickling populated detector caches once per sequence.
             target.reset()
-        max_workers = min(self.workers, len(sequences))
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        interrupted = False
-        try:
-            futures = [pool.submit(worker_fn, target, s) for s in sequences]
-            by_future = dict(zip(futures, sequences))
-            # Fail fast: observe completions as they land instead of
-            # blocking in-order on f.result() — the first worker exception
-            # cancels everything still pending and names its sequence.
-            pending = set(futures)
-            done_count = 0
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for future in finished:
-                    exc = future.exception()
-                    if exc is not None:
-                        for other in pending:
-                            other.cancel()
-                        raise SequenceExecutionError(
-                            by_future[future].name, exc
-                        ) from exc
-                    done_count += 1
-                    if on_progress is not None:
-                        on_progress(
-                            done_count, len(sequences), by_future[future].name
-                        )
-            _count_mapped("process", sequences)
-            return [f.result() for f in futures]
-        except (KeyboardInterrupt, SystemExit):
-            # Don't wait for in-flight sequences on ^C — drop the pool's
-            # queue and kill it now.
-            interrupted = True
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        finally:
-            if not interrupted:
-                pool.shutdown(wait=True, cancel_futures=True)
+        fn = partial(_run_sequence, target)
+        names = [s.name for s in sequences]
+        results = _map_named(fn, sequences, names, self.workers, on_progress)
+        _count_mapped("process", sequences)
+        return results
 
 
-class FrameParallelExecutor:
-    """Split *within* sequences: frame-range shards on a process pool.
+class FrameParallelExecutor(ParallelExecutor):
+    """Split *within* sequences: frame-range shards on worker processes.
 
     Sequence-level parallelism (:class:`ParallelExecutor`) saturates once
     the dataset has fewer sequences than cores — the long tail is one
     worker grinding through the longest sequence.  For systems whose
     registered kind declares ``frame_parallel`` (single, cascade: every
     frame is a pure function of ``(config, sequence, frame)``), this
-    executor fans contiguous frame ranges of *every* sequence out to the
-    pool and splices the chunks back in order, byte-identical to the
-    serial loop.  Systems with cross-frame feedback (catdet, keyframe)
-    fall back to whole-sequence shards — tracker causality keeps them
-    sequence-serial, exactly like :class:`ParallelExecutor`.
+    executor maps contiguous frame ranges of *every* sequence over
+    :func:`parallel_map` and splices the chunks back in plan order,
+    byte-identical to the serial loop.  Systems with cross-frame feedback
+    (catdet, keyframe) fall back to whole-sequence shards — tracker
+    causality keeps them sequence-serial, exactly like
+    :class:`ParallelExecutor`.
 
     Requires a declarative :class:`~repro.core.config.SystemConfig`
     target so workers can rebuild the system (and so the kind's
     ``frame_parallel`` declaration can be trusted).
     """
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
 
     def map_sequences(
         self,
@@ -311,68 +284,37 @@ class FrameParallelExecutor:
         if not sequences:
             return []
         if not config_is_frame_parallel(target):
-            return ParallelExecutor(self.workers).map_sequences(
-                target, sequences, on_progress=on_progress
-            )
+            return super().map_sequences(target, sequences, on_progress=on_progress)
         # Aim for a few chunks per worker so uneven chunk runtimes level
         # out, without splintering short sequences into per-frame tasks.
         total_frames = sum(s.num_frames for s in sequences)
         target_chunk = max(8, total_frames // (self.workers * 4) or 1)
-        plan: List[Tuple[int, Tuple[int, int]]] = []  # (seq idx, range)
-        for i, sequence in enumerate(sequences):
-            chunks = max(1, sequence.num_frames // target_chunk)
-            for frame_range in split_frame_ranges(sequence.num_frames, chunks):
-                plan.append((i, frame_range))
-        results: List[Optional[SequenceResult]] = [None] * len(sequences)
-        chunks_left = [0] * len(sequences)
-        for i, _ in plan:
-            chunks_left[i] += 1
-        parts: List[dict] = [dict() for _ in sequences]
-        done_sequences = 0
-        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(plan)))
-        interrupted = False
-        try:
-            futures = {
-                pool.submit(
-                    _run_frame_range_from_config, target, sequences[i], start, stop
-                ): (i, start)
-                for i, (start, stop) in plan
-            }
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for future in finished:
-                    i, start = futures[future]
-                    exc = future.exception()
-                    if exc is not None:
-                        for other in pending:
-                            other.cancel()
-                        raise SequenceExecutionError(
-                            sequences[i].name, exc
-                        ) from exc
-                    parts[i][start] = future.result()
-                    chunks_left[i] -= 1
-                    if chunks_left[i] == 0:
-                        frames = []
-                        for _, chunk in sorted(parts[i].items()):
-                            frames.extend(chunk)
-                        results[i] = SequenceResult(
-                            sequence_name=sequences[i].name, frames=frames
-                        )
-                        done_sequences += 1
-                        if on_progress is not None:
-                            on_progress(
-                                done_sequences, len(sequences), sequences[i].name
-                            )
-            _count_mapped("frames", sequences)
-            return results  # type: ignore[return-value]
-        except (KeyboardInterrupt, SystemExit):
-            interrupted = True
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        finally:
-            if not interrupted:
-                pool.shutdown(wait=True, cancel_futures=True)
+        plan = [  # (sequence index, (sequence, start, stop))
+            (i, (sequence, start, stop))
+            for i, sequence in enumerate(sequences)
+            for start, stop in split_frame_ranges(
+                sequence.num_frames, max(1, sequence.num_frames // target_chunk)
+            )
+        ]
+        names = [chunk[0].name for _, chunk in plan]
+        # Report a sequence once, when its last chunk lands.
+        chunks_left = Counter(names)
+        finished: List[str] = []
+
+        def chunk_landed(_done: int, _total: int, name: str) -> None:
+            chunks_left[name] -= 1
+            if chunks_left[name] == 0 and on_progress is not None:
+                finished.append(name)
+                on_progress(len(finished), len(sequences), name)
+
+        fn = partial(_run_frame_range_from_config, target)
+        items = [chunk for _, chunk in plan]
+        chunks = _map_named(fn, items, names, self.workers, chunk_landed)
+        results = [SequenceResult(sequence_name=s.name) for s in sequences]
+        for (i, _), frames in zip(plan, chunks):
+            results[i].frames.extend(frames)
+        _count_mapped("frames", sequences)
+        return results
 
 
 SequenceExecutor = Union[SerialExecutor, ParallelExecutor, FrameParallelExecutor]
@@ -384,15 +326,8 @@ def make_executor(workers: Optional[int]) -> SequenceExecutor:
     ``None`` or ``1`` → serial; ``0`` → one worker per available CPU;
     ``N >= 2`` → a process pool of ``N`` workers.
     """
-    if workers is None or workers == 1:
-        return SerialExecutor()
-    if workers == 0:
-        workers = effective_cpu_count()
-        if workers == 1:
-            return SerialExecutor()
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    return ParallelExecutor(workers)
+    workers = resolve_workers(workers, sys.maxsize)
+    return SerialExecutor() if workers == 1 else ParallelExecutor(workers)
 
 
 # --------------------------------------------------------------------- #
@@ -417,12 +352,8 @@ def _serial_executor(workers: Optional[int]) -> SequenceExecutor:
 
 @register_executor("process")
 def _process_executor(workers: Optional[int]) -> SequenceExecutor:
-    """A process pool even for ``workers=1`` (isolation testing)."""
-    if workers is None:
-        workers = 1
-    if workers == 0:
-        workers = effective_cpu_count()
-    return ParallelExecutor(workers)
+    """A :class:`ParallelExecutor` whatever the count; ``None`` → 1 worker."""
+    return ParallelExecutor(resolve_workers(workers, sys.maxsize))
 
 
 @register_executor("frames")
@@ -432,6 +363,5 @@ def _frames_executor(workers: Optional[int]) -> SequenceExecutor:
     ``None``/``0`` → one worker per available CPU.  Kinds with
     cross-frame feedback degrade to sequence-level shards.
     """
-    if workers in (None, 0):
-        workers = effective_cpu_count()
-    return FrameParallelExecutor(workers)
+    workers = 0 if workers is None else workers
+    return FrameParallelExecutor(resolve_workers(workers, sys.maxsize))

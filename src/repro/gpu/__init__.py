@@ -2,22 +2,7 @@
 
 The paper approximates GPU time of a CNN workload as ``T = alpha * W + b``
 and derives a greedy box-merging heuristic from it.  The calibrated
-constants and all computation now live in the unified cost layer
-(:mod:`repro.cost`, profile ``"titanx"``); this package keeps the
-historical API as thin deprecation shims and regenerates Table 7
-(``python -m repro table7``).
+constants and all computation live in the unified cost layer
+(:mod:`repro.cost`, profile ``"titanx"``); this package regenerates
+Table 7 from it (``python -m repro table7``, :mod:`repro.gpu.table7`).
 """
-
-from repro.gpu.timing import (
-    GpuTimingModel,
-    PipelineTiming,
-    estimate_catdet_timing,
-    estimate_single_model_timing,
-)
-
-__all__ = [
-    "GpuTimingModel",
-    "PipelineTiming",
-    "estimate_catdet_timing",
-    "estimate_single_model_timing",
-]

@@ -1,25 +1,41 @@
-"""Deterministic process-pool map for independent sweep points.
+"""Deterministic, fail-fast process-pool map: the library's only pool.
 
-The tuning sweeps evaluate grid points that are pure functions of their
-spec — no shared state beyond the content-addressed cache, whose atomic
-writes already make concurrent writers safe.  :func:`parallel_map`
-fans such items out over a :class:`~concurrent.futures.
-ProcessPoolExecutor` and reassembles results **in input order** whatever
-order the workers finish in, so a parallel sweep returns exactly the
-serial sweep's list.  Progress callbacks fire in *as-completed* order —
-that is the whole point of watching a parallel sweep.
+Sweep points and dataset sequences are pure functions of their inputs,
+with no shared state beyond the content-addressed cache, whose atomic
+writes already make concurrent writers safe.  :func:`parallel_map` fans
+such items out over a :class:`~concurrent.futures.ProcessPoolExecutor`
+and reassembles results **in input order** whatever order the workers
+finish in, so a parallel run returns exactly the serial run's list.
+Progress callbacks fire in *as-completed* order — that is the whole
+point of watching a parallel run.
 
-Mirrors the fail-fast discipline of
-:class:`repro.engine.scheduler.ParallelExecutor`: the first worker
-exception cancels everything still pending and re-raises in the caller;
-Ctrl-C abandons the pool without waiting for stragglers.
+The tuning sweeps and the dataset executors of
+:mod:`repro.engine.scheduler` all run on it.  The first worker exception
+cancels everything still pending and re-raises in the caller as a
+:class:`ParallelMapError` naming the item; Ctrl-C abandons the pool
+without waiting for stragglers.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.engine.scheduler import effective_cpu_count
+
+def effective_cpu_count() -> int:
+    """CPUs actually available to this process (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+class ParallelMapError(RuntimeError):
+    """``fn`` failed on the item named ``label``; ``__cause__`` is why."""
+
+    def __init__(self, label: str, cause: BaseException):
+        super().__init__(f"{label!r} failed: {cause}")
+        self.label = label
 
 
 def resolve_workers(workers: Optional[int], num_items: int) -> int:
@@ -51,8 +67,9 @@ def parallel_map(
 
     Results always come back in input order.  ``on_progress(done,
     total, label)`` fires once per finished item — in input order when
-    serial, in completion order when parallel.  ``fn`` and every item
-    must be picklable when ``workers`` resolves past 1.
+    serial, in completion order when parallel.  An exception from ``fn``
+    surfaces as :class:`ParallelMapError` either way.  ``fn`` and every
+    item must be picklable when ``workers`` resolves past 1.
     """
     total = len(items)
     names = list(labels) if labels is not None else [str(i) for i in range(total)]
@@ -64,7 +81,10 @@ def parallel_map(
     if workers <= 1 or total <= 1:
         out = []
         for i, item in enumerate(items):
-            out.append(fn(item))
+            try:
+                out.append(fn(item))
+            except Exception as exc:
+                raise ParallelMapError(names[i], exc) from exc
             if on_progress is not None:
                 on_progress(i + 1, total, names[i])
         return out
@@ -79,7 +99,7 @@ def parallel_map(
         pending = set(futures)
         done_count = 0
         while pending:
-            # Not FIRST_EXCEPTION: with no failure it returns only once
+            # Not "first exception": with no failure that returns only once
             # everything finished, holding back progress (and a Ctrl-C
             # raised from on_progress) until the straggler is done.
             finished, pending = wait(pending, return_when=FIRST_COMPLETED)
@@ -88,12 +108,12 @@ def parallel_map(
                 if exc is not None:
                     for f in pending:
                         f.cancel()
-                    raise exc
+                    raise ParallelMapError(names[index[future]], exc) from exc
                 done_count += 1
                 if on_progress is not None:
                     on_progress(done_count, total, names[index[future]])
         return [f.result() for f in futures]
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, SystemExit):
         interrupted = True
         pool.shutdown(wait=False, cancel_futures=True)
         raise

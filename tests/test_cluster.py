@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -537,6 +538,36 @@ class FailingSystem:
         return SequenceResult(sequence_name=sequence.name, frames=[])
 
 
+class StragglingSystem:
+    """Picklable stand-in system with one slow sequence.
+
+    Every other sequence returns at once.  The slow one touches a
+    ``started`` marker in ``directory``, sleeps, then touches ``finished``.
+    """
+
+    name = "straggling"
+
+    def __init__(self, slow, directory):
+        self.slow = slow
+        self.directory = directory
+
+    def reset(self):
+        pass
+
+    def process_sequence(self, sequence):
+        if sequence.name == self.slow:
+            (Path(self.directory) / "started").touch()
+            time.sleep(3.0)
+            (Path(self.directory) / "finished").touch()
+        return SequenceResult(sequence_name=sequence.name, frames=[])
+
+
+def _wait_for(path, seconds=60.0):
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 class TestFailFastParallelExecutor:
     def test_first_exception_cancels_and_names_the_sequence(self, kitti_small):
         from repro.engine.scheduler import ParallelExecutor
@@ -563,6 +594,46 @@ class TestFailFastParallelExecutor:
             assert {name for _, _, name in seen} == {
                 s.name for s in kitti_small.sequences
             }
+
+    def test_progress_is_not_held_back_by_a_straggler(self, kitti_small, tmp_path):
+        from repro.engine.scheduler import ParallelExecutor
+
+        fast, slow = kitti_small.sequences
+        finished_at_progress = {}
+        ParallelExecutor(2).map_sequences(
+            StragglingSystem(slow.name, str(tmp_path)),
+            kitti_small.sequences,
+            on_progress=lambda done, total, name: finished_at_progress.setdefault(
+                name, (tmp_path / "finished").exists()
+            ),
+        )
+        assert finished_at_progress[fast.name] is False, (
+            "the fast sequence's progress waited for the straggler"
+        )
+
+    def test_interrupt_abandons_the_straggler_without_waiting(
+        self, kitti_small, tmp_path
+    ):
+        from repro.engine.scheduler import ParallelExecutor
+
+        slow = kitti_small.sequences[1]
+
+        def interrupt(done, total, name):
+            _wait_for(tmp_path / "started")  # the straggler is in flight
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            ParallelExecutor(2).map_sequences(
+                StragglingSystem(slow.name, str(tmp_path)),
+                kitti_small.sequences,
+                on_progress=interrupt,
+            )
+        assert (tmp_path / "started").exists()
+        assert not (tmp_path / "finished").exists(), (
+            "ParallelExecutor waited for the straggler after Ctrl-C"
+        )
+        # Let the abandoned straggler finish so it does not outlive the test.
+        _wait_for(tmp_path / "finished")
 
 
 class TestExecSpecQueueDir:

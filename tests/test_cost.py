@@ -2,9 +2,10 @@
 
 The load-bearing guarantees:
 
-* the ``titanx`` profile reproduces the legacy ``gpu/timing.py``
-  kernel/wall numbers **bit-for-bit** at the Table-7 operating points
-  (calibration parity — the shim and the cost layer can never drift);
+* the ``titanx`` profile reproduces the pinned Table-7 kernel/wall
+  numbers **bit-for-bit** (calibration parity: literals recorded from the
+  historical ``gpu/timing.py`` estimators, so the calibration can never
+  drift silently), and the linear model behaves as Appendix I states;
 * the ``abstract`` profile reproduces the serving layer's historical
   defaults (2 ms/invocation, 2000 Gops/s) exactly;
 * profiles are frozen, validated, registered by name and JSON
@@ -14,9 +15,12 @@ The load-bearing guarantees:
   and the timing survives the result cache bit-identically.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.boxes.merge import MergeCostModel
 from repro.core.config import SystemConfig
 from repro.core.pipeline import run_on_dataset
 from repro.cost import (
@@ -29,11 +33,6 @@ from repro.cost import (
     get_device,
     profile_from_service_rates,
     register_device,
-)
-from repro.gpu.timing import (
-    GpuTimingModel,
-    estimate_catdet_timing,
-    estimate_single_model_timing,
 )
 
 GIGA = 1e9
@@ -86,56 +85,159 @@ class TestDeviceProfile:
             profile_from_service_rates(1.0, 0.0)
 
 
+def kitti_geometry_regions():
+    """16 regions along the KITTI road band: the Table-7 CaTDet point."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1100, size=16)
+    y = rng.uniform(150, 230, size=16)
+    w = rng.uniform(60, 140, size=16)
+    return np.stack([x, y, x + w, y + w * 0.7], axis=1)
+
+
+class TestTitanXKernel:
+    """The linear ``T = alpha * W + b`` model on the calibrated device."""
+
+    def test_kernel_time_linear(self):
+        m = CostModel(TITANX)
+        t1 = m.kernel_seconds(10 * GIGA)
+        t2 = m.kernel_seconds(20 * GIGA)
+        assert t2 - t1 == pytest.approx(TITANX.alpha * 10 * GIGA)
+
+    def test_launch_overhead_positive(self):
+        assert TITANX.launch_overhead_seconds > 0
+
+    def test_negative_macs_raises(self):
+        with pytest.raises(ValueError, match="macs"):
+            CostModel(TITANX).kernel_seconds(-1.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="alpha"):
+            replace(TITANX, alpha=0.0)
+        with pytest.raises(ValueError, match="CPU"):
+            replace(TITANX, cpu_frame_overhead=-1.0)
+
+    def test_merge_cost_model_consistent(self):
+        m = CostModel(TITANX)
+        mc = m.merge_cost_model()
+        # A region of A pixels should cost the same through both paths.
+        region_area = 300.0 * 200.0
+        assert mc.region_time(region_area) == pytest.approx(
+            m.kernel_seconds(region_area * TITANX.trunk_macs_per_pixel)
+        )
+
+
+class TestTable7Estimators:
+    def _regions(self, n, size=80.0, spacing=300.0):
+        out = []
+        for i in range(n):
+            x = (i % 4) * spacing
+            y = (i // 4) * spacing
+            out.append([x, y, x + size, y + size])
+        return np.array(out)
+
+    def test_single_model_matches_paper_calibration(self):
+        """Res50 Faster R-CNN: 0.159 s GPU, 0.193 s total (Table 7)."""
+        timing = CostModel(TITANX).single_model_timing(254.3 * GIGA)
+        assert timing.gpu_seconds == pytest.approx(0.159, rel=0.1)
+        assert timing.total_seconds == pytest.approx(0.193, rel=0.1)
+        assert timing.num_launches == 1
+
+    def test_catdet_faster_than_single(self):
+        m = CostModel(TITANX)
+        single = m.single_model_timing(254.3 * GIGA)
+        catdet = m.catdet_timing(
+            proposal_macs=20.7 * GIGA,
+            region_boxes=self._regions(15),
+            refinement_head_macs=12 * GIGA,
+        )
+        assert catdet.gpu_seconds < single.gpu_seconds / 2
+        assert catdet.total_seconds < single.total_seconds
+
+    def test_catdet_matches_paper_scale(self):
+        """Res10a+Res50 CaTDet: 0.042 s GPU, 0.094 s total (Table 7).
+
+        Regions follow KITTI geometry: objects cluster along the road band,
+        so the greedy merge collapses them into a handful of launches.
+        """
+        catdet = CostModel(TITANX).catdet_timing(
+            proposal_macs=20.7 * GIGA,
+            region_boxes=kitti_geometry_regions(),
+            refinement_head_macs=12 * GIGA,
+        )
+        assert catdet.gpu_seconds == pytest.approx(0.042, rel=0.5)
+        assert catdet.total_seconds == pytest.approx(0.094, rel=0.5)
+
+    def test_merging_reduces_time_for_clustered_regions(self):
+        # Many overlapping small regions: merging trims launch overhead.
+        rng = np.random.default_rng(0)
+        base = rng.random((12, 2)) * 50
+        boxes = np.concatenate([base, base + 60], axis=1)
+        m = CostModel(TITANX)
+        merged = m.catdet_timing(1 * GIGA, boxes, 0.0, merge=True)
+        unmerged = m.catdet_timing(1 * GIGA, boxes, 0.0, merge=False)
+        assert merged.gpu_seconds <= unmerged.gpu_seconds + 1e-12
+        assert merged.num_launches <= unmerged.num_launches
+
+    def test_empty_regions(self):
+        timing = CostModel(TITANX).catdet_timing(5 * GIGA, np.zeros((0, 4)), 0.0)
+        assert timing.num_launches == 1  # the proposal pass only
+        assert timing.gpu_seconds > 0
+
+
 class TestCalibrationParity:
-    """CostModel must reproduce gpu/timing.py numbers bit-for-bit."""
+    """CostModel reproduces the historical Table-7 numbers bit-for-bit.
+
+    The literals were recorded from the ``gpu/timing.py`` estimators
+    before that module was deleted; any change to the calibration or
+    the merge heuristic shows up here as an exact mismatch.
+    """
 
     def test_titanx_matches_legacy_constants(self):
-        legacy = GpuTimingModel()
-        assert TITANX.alpha == legacy.alpha
-        assert TITANX.launch_overhead_seconds == legacy.launch_overhead_seconds
+        assert TITANX.alpha == 6.252457727093983e-13
+        assert TITANX.launch_overhead_seconds == 0.006602595359811246
 
     def test_single_model_table7_point_bit_for_bit(self):
         """Res50 Faster R-CNN: 254.3 Gops (0.159 s GPU / 0.193 s wall)."""
-        legacy = estimate_single_model_timing(254.3 * GIGA)
         cost = CostModel(TITANX).single_model_timing(254.3 * GIGA)
-        assert cost.gpu_seconds == legacy.gpu_seconds
-        assert cost.cpu_seconds == legacy.cpu_seconds
-        assert cost.total_seconds == legacy.total_seconds
-        assert cost.num_launches == legacy.num_launches
+        assert cost.gpu_seconds == 0.16560259535981126
+        assert cost.cpu_seconds == 0.034
+        assert cost.total_seconds == 0.19960259535981126
+        assert cost.num_launches == 1
         assert cost.gpu_seconds == pytest.approx(0.159, rel=0.1)
         assert cost.total_seconds == pytest.approx(0.193, rel=0.1)
 
     def test_catdet_table7_point_bit_for_bit(self):
         """Res10a+Res50 CaTDet at the KITTI-geometry operating point of
-        tests/test_gpu_timing.py (0.042 s GPU / 0.094 s wall)."""
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1100, size=16)
-        y = rng.uniform(150, 230, size=16)
-        w = rng.uniform(60, 140, size=16)
-        regions = np.stack([x, y, x + w, y + w * 0.7], axis=1)
-        for merge in (True, False):
-            legacy = estimate_catdet_timing(
-                20.7 * GIGA, regions, 12 * GIGA, merge=merge
-            )
+        :meth:`TestTable7Estimators.test_catdet_matches_paper_scale`
+        (0.042 s GPU / 0.094 s wall)."""
+        expected = {  # merge: (gpu_seconds, cpu_seconds, num_launches)
+            True: (0.040789277716479895, 0.036000000000000004, 2),
+            False: (0.13762539761371065, 0.051000000000000004, 17),
+        }
+        for merge, (gpu, cpu, launches) in expected.items():
             cost = CostModel(TITANX).catdet_timing(
-                20.7 * GIGA, regions, 12 * GIGA, merge=merge
+                20.7 * GIGA, kitti_geometry_regions(), 12 * GIGA, merge=merge
             )
-            assert cost.gpu_seconds == legacy.gpu_seconds
-            assert cost.cpu_seconds == legacy.cpu_seconds
-            assert cost.num_launches == legacy.num_launches
+            assert cost.gpu_seconds == gpu
+            assert cost.cpu_seconds == cpu
+            assert cost.num_launches == launches
 
     def test_kernel_seconds_bit_for_bit(self):
-        legacy = GpuTimingModel()
         cost = CostModel(TITANX)
-        for macs in (0.0, 1.0, 20.7 * GIGA, 254.3 * GIGA):
-            assert cost.kernel_seconds(macs) == legacy.kernel_time(macs)
+        expected = {
+            0.0: 0.006602595359811246,
+            1.0: 0.006602595360436492,
+            20.7 * GIGA: 0.01954518285489579,
+            254.3 * GIGA: 0.16560259535981126,
+        }
+        for macs, seconds in expected.items():
+            assert cost.kernel_seconds(macs) == seconds
         with pytest.raises(ValueError, match="macs"):
             cost.kernel_seconds(-1.0)
 
     def test_merge_cost_model_parity(self):
-        legacy = GpuTimingModel().merge_cost_model()
         cost = CostModel(TITANX).merge_cost_model()
-        assert cost == legacy
+        assert cost == MergeCostModel(alpha=4.126622099882029e-08, base_area=160000.0)
 
     def test_abstract_batch_seconds_matches_legacy_formula(self):
         cost = CostModel(ABSTRACT)

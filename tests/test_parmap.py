@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.scheduler import effective_cpu_count
-from repro.utils.parmap import parallel_map, resolve_workers
+from repro.utils.parmap import ParallelMapError, parallel_map, resolve_workers
 
 
 def _square(x):
@@ -99,6 +99,18 @@ class TestParallelMap:
     def test_serial_exception_propagates(self):
         with pytest.raises(RuntimeError, match="boom at 3"):
             parallel_map(_maybe_fail, list(range(6)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_names_its_label_and_chains_the_cause(self, workers):
+        with pytest.raises(ParallelMapError, match="boom at 3") as excinfo:
+            parallel_map(
+                _maybe_fail,
+                list(range(6)),
+                workers=workers,
+                labels=[f"p{i}" for i in range(6)],
+            )
+        assert excinfo.value.label == "p3"
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
 
     def test_interrupt_abandons_stragglers_without_waiting(self, tmp_path):
         def interrupt(done, total, label):
